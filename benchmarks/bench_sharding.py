@@ -1,28 +1,23 @@
-"""Sharded campaign scaling: the worker fleet vs the single process.
+"""Local sharded-campaign scaling: the process pool vs the single process.
 
-This PR turned ``run_campaign`` into a horizontally sharded system
-(:mod:`repro.injection.shard` + :mod:`repro.service`): the injection-step
-space is planned into journal-backed shards, executed by a socket worker
-fleet with work stealing and dead-worker reissue, and merged back into
-the exact single-process report.  Sharding is only worth its coordination
-machinery if the fleet actually multiplies throughput, so this bench runs
-the same exhaustive ``vpr`` SEU sweep as ``bench_campaign_throughput``
-(every site, every representative value -- the regime campaigns run at
-scale) on:
+``run_campaign_sharded`` without remote workers (``talft campaign
+--shards N``) runs the campaign driver on the supervised process pool
+with ``local_workers or shards`` workers -- the same engine as
+``--jobs N``; the socket fleet serves only remote ``--workers``.  This
+bench runs the same exhaustive ``vpr`` SEU sweep as
+``bench_campaign_throughput`` (every site, every representative value --
+the regime campaigns run at scale) on:
 
 * the single-process engine (the merge-parity baseline),
-* a sharded local fleet of 1, 2 and 4 workers (``shards=4`` throughout,
-  so stealing keeps the fleet busy regardless of worker count).
+* ``shards=4`` with pools of 1, 2 and 4 workers (``local_workers``).
 
 Every row must be fingerprint-equal to the single-process report --
 scaling numbers are meaningless if the distribution changed a bit.
 
-The contract: **4 local workers deliver >= 3x the 1-worker fleet's
+The contract: **4 local workers deliver >= 3x the 1-worker pool's
 throughput** on this sweep.  The assertion is gated on
-``os.cpu_count() >= 4``: the fleet multiplies real cores, and this
-repo's development container exposes a single CPU, where 4 forked
-workers time-slice one core and the matrix is informational (CI's
-4-vCPU runners assert it).
+``os.cpu_count() >= 4``: the pool multiplies real cores, and below four
+cores the workers time-slice and the matrix is informational.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from _bench_utils import emit_json, emit_table, format_row
 
 #: Mirrors bench_campaign_throughput's exhaustive sweep: every fault
 #: site, every representative value at 10 sampled steps.  ``prune=False``
-#: keeps every row measuring raw fleet execution, not the pruner.
+#: keeps every row measuring raw pool execution, not the pruner.
 _SWEEP_CONFIG = CampaignConfig(
     max_injection_steps=10,
     max_values_per_site=None,
@@ -50,7 +45,7 @@ _SWEEP_CONFIG = CampaignConfig(
 )
 
 _SHARDS = 4
-_FLEET_SIZES = (1, 2, 4)
+_POOL_SIZES = (1, 2, 4)
 _MIN_SPEEDUP_4_WORKERS = 3.0
 
 
@@ -69,23 +64,23 @@ def run_sharding_table() -> List[str]:
     baseline = report_fingerprint(single_report)
 
     rows = []
-    for fleet in _FLEET_SIZES:
+    for pool in _POOL_SIZES:
         report, seconds = _timed(
-            lambda fleet=fleet: run_campaign_sharded(
+            lambda pool=pool: run_campaign_sharded(
                 program, _SWEEP_CONFIG, shards=_SHARDS,
-                local_workers=fleet))
+                local_workers=pool))
         if report_fingerprint(report) != baseline:
             raise AssertionError(
-                f"sharded fleet of {fleet} diverged from the "
+                f"sharded pool of {pool} diverged from the "
                 "single-process report")
         if report.latency_buckets != single_report.latency_buckets:
             raise AssertionError(
-                f"sharded fleet of {fleet} changed latency_buckets")
-        rows.append((fleet, report, seconds))
+                f"sharded pool of {pool} changed latency_buckets")
+        rows.append((pool, report, seconds))
 
     single_rate = single_report.injections / single_time
-    rates = {fleet: report.injections / seconds
-             for fleet, report, seconds in rows}
+    rates = {pool: report.injections / seconds
+             for pool, report, seconds in rows}
     speedup_vs_one = rates[4] / rates[1]
     cores = os.cpu_count() or 1
     contract_asserted = cores >= 4
@@ -98,13 +93,13 @@ def run_sharding_table() -> List[str]:
         format_row(("single process", single_report.injections,
                     single_time, single_rate, 1.0), widths),
     ]
-    for fleet, report, seconds in rows:
+    for pool, report, seconds in rows:
         lines.append(format_row(
-            (f"shards=4, workers={fleet}", report.injections, seconds,
-             rates[fleet], rates[fleet] / single_rate), widths))
+            (f"shards=4, pool of {pool}", report.injections, seconds,
+             rates[pool], rates[pool] / single_rate), widths))
     lines.append("-" * 76)
     lines.append(
-        f"4-worker fleet vs 1-worker fleet: {speedup_vs_one:.2f}x "
+        f"4-worker pool vs 1-worker pool: {speedup_vs_one:.2f}x "
         f"(contract >= {_MIN_SPEEDUP_4_WORKERS:.0f}x "
         + (f"asserted on this {cores}-core host)" if contract_asserted
            else f"informational: host exposes {cores} core(s))"))
@@ -113,7 +108,7 @@ def run_sharding_table() -> List[str]:
     if contract_asserted and speedup_vs_one < _MIN_SPEEDUP_4_WORKERS:
         raise AssertionError(
             f"4 local workers delivered {speedup_vs_one:.2f}x the "
-            f"1-worker fleet on a {cores}-core host; the sharding "
+            f"1-worker pool on a {cores}-core host; the sharding "
             f"contract requires >= {_MIN_SPEEDUP_4_WORKERS:.0f}x")
 
     emit_json("sharding", {
@@ -129,8 +124,8 @@ def run_sharding_table() -> List[str]:
         "injections": single_report.injections,
         "throughput_inj_per_s": {
             "single_process": single_rate,
-            **{f"fleet_{fleet}_workers": rates[fleet]
-               for fleet in _FLEET_SIZES},
+            **{f"pool_{pool}_workers": rates[pool]
+               for pool in _POOL_SIZES},
         },
         "speedup_4_workers_vs_1": speedup_vs_one,
         "speedup_contract": _MIN_SPEEDUP_4_WORKERS,
@@ -138,7 +133,7 @@ def run_sharding_table() -> List[str]:
         "contract_gate_reason": (
             "asserted: host has >= 4 cores" if contract_asserted
             else f"informational: host exposes {cores} core(s); "
-                 "4 forked workers time-slice one core"),
+                 "4 workers time-slice fewer cores"),
         "bit_identical": True,
     })
     return lines

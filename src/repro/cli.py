@@ -11,7 +11,6 @@ Installed as the ``talft`` console script (also runnable as
     talft campaign program.mwl [--samples N]
     talft campaign program.mwl --shards 4 [--workers HOST:PORT,...]
     talft shard-worker --listen 7070      # join a remote worker fleet
-    talft journal merge -o OUT IN...      # union shard journals offline
     talft serve [--serve-port 8321]       # the campaign HTTP service
 
 ``.tal`` files hold textual TAL_FT assembly; ``.mwl`` files hold MWL
@@ -190,7 +189,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     authkey = None
     if getattr(args, "authkey_file", None) and not workers:
         print("error: --authkey-file only applies with --workers (local "
-              "fleets generate their own per-campaign key)",
+              "shards run on the process pool, which needs no key)",
               file=sys.stderr)
         return 2
     if workers:
@@ -406,18 +405,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_journal_merge(args: argparse.Namespace) -> int:
-    from repro.injection.shard import merge_journal_files
-
-    steps, corrupt = merge_journal_files(args.output, args.inputs)
-    line = (f"merged {len(args.inputs)} journal(s) -> {args.output}: "
-            f"{steps} step(s)")
-    if corrupt:
-        line += f", {corrupt} corrupt line(s) skipped"
-    print(line)
-    return 0
-
-
 def _int_at_least(minimum: int, what: str):
     """An argparse ``type`` that rejects out-of-range integers with a
     friendly error (argparse exits with code 2) instead of letting a bad
@@ -625,11 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "analysis; 0 disables)")
     campaign.add_argument("--shards",
                           type=_int_at_least(1, "--shards"), default=None,
-                          help="split the campaign into N journal-backed "
-                               "shards executed by a worker fleet (local "
-                               "forked processes unless --workers is "
-                               "given); the merged report is bit-identical "
-                               "to a single-process run")
+                          help="split the campaign N ways: N process-pool "
+                               "workers, or N shards for the --workers "
+                               "fleet; the report is bit-identical to a "
+                               "single-process run")
     campaign.add_argument("--workers", metavar="HOST:PORT,...",
                           help="comma-separated addresses of 'talft "
                                "shard-worker --listen' processes to run "
@@ -740,22 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "unlisted tenants weigh 1.0)")
     serve.set_defaults(handler=cmd_serve)
 
-    journal = commands.add_parser(
-        "journal", help="offline campaign-journal tooling")
-    journal_actions = journal.add_subparsers(dest="journal_command",
-                                             required=True)
-    journal_merge = journal_actions.add_parser(
-        "merge",
-        help="union shard journals into one combined journal that a plain "
-             "'campaign --journal X --resume' can replay",
-    )
-    journal_merge.add_argument("-o", "--output", required=True,
-                               help="combined journal to write")
-    journal_merge.add_argument("inputs", nargs="+",
-                               help="shard journal files to merge (must "
-                                    "share one campaign identity header)")
-    journal_merge.set_defaults(handler=cmd_journal_merge)
-
     chaos = commands.add_parser(
         "chaos",
         help="fault-inject the campaign infrastructure itself and assert "
@@ -767,9 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--scenarios", default="all",
                        help="comma-separated scenario names (kill-worker, "
                             "delay-chunk, truncate-journal, "
-                            "corrupt-journal, kill-shard-worker, "
-                            "kill-remote-shard-worker, kill-service, "
-                            "recovery) or 'all'")
+                            "corrupt-journal, kill-remote-shard-worker, "
+                            "kill-service, recovery) or 'all'")
     chaos.add_argument("--jobs", type=_int_at_least(2, "--jobs"), default=2,
                        help="pool size for the worker-fault scenarios")
     chaos.add_argument("--samples",

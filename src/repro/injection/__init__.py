@@ -1,5 +1,6 @@
 """Single-event-upset fault-injection campaigns."""
 
+from repro.core.pool import default_jobs
 from repro.injection.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -10,7 +11,6 @@ from repro.injection.campaign import (
     classify_tail,
     run_campaign,
 )
-from repro.injection.parallel import default_jobs, run_steps_parallel
 from repro.injection.resilience import (
     ResilienceConfig,
     ResilienceStats,
@@ -32,15 +32,6 @@ from repro.injection.chaos import (
     report_fingerprint,
     run_scenarios,
     truncate_journal_tail,
-)
-from repro.injection.shard import (
-    ShardSpec,
-    existing_shard_journals,
-    merge_journal_files,
-    merge_outcomes,
-    plan_campaign_shards,
-    plan_shards,
-    reconstruct_report,
 )
 from repro.injection.multifault import (
     correlated_double_fault,
@@ -66,7 +57,6 @@ __all__ = [
     "ResilienceConfig",
     "ResilienceStats",
     "ScenarioResult",
-    "ShardSpec",
     "classify",
     "classify_tail",
     "config_digest",
@@ -74,14 +64,8 @@ __all__ = [
     "corrupt_journal_line",
     "current_payload",
     "default_jobs",
-    "existing_shard_journals",
     "load_journal",
-    "merge_journal_files",
-    "merge_outcomes",
-    "plan_campaign_shards",
-    "plan_shards",
     "program_digest",
-    "reconstruct_report",
     "report_fingerprint",
     "representative_values",
     "resume_journal",
@@ -89,7 +73,6 @@ __all__ = [
     "run_faults",
     "run_multifault_campaign",
     "run_scenarios",
-    "run_steps_parallel",
     "run_steps_supervised",
     "truncate_journal_tail",
     "with_value",

@@ -26,9 +26,9 @@ with any injection point reconstructed by replaying at most
 checkpoint.  Each injection step is processed independently with an RNG
 derived from ``(seed, step_index)``, which makes the work embarrassingly
 parallel: ``run_campaign(..., jobs=N)`` partitions the injection steps
-across a process pool (:mod:`repro.injection.parallel`) and merges the
-per-step results in step order, producing a report bit-identical to the
-serial engine's.
+across a supervised process pool (:mod:`repro.injection.resilience`) and
+merges the per-step results in step order, producing a report
+bit-identical to the serial engine's.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycles)
     from repro.injection.chaos import ChaosSpec
@@ -738,11 +740,48 @@ def run_campaign(
     is purely observational: the report is bit-identical with or
     without it.
     """
+    return _drive(program, config, jobs, backend, journal_path, resume,
+                  resilience, chaos, progress, on_step)
+
+
+#: A step source: ``source(config, reference, steps, stats)`` yields one
+#: ``(step_index, outcomes)`` pair per step of ``steps``, in any order.
+StepSource = Callable[
+    [CampaignConfig, ReferenceRun, List[int], "ResilienceStats"],
+    Iterator[Tuple[int, List[StepOutcome]]],
+]
+
+
+def _drive(
+    program: Program,
+    config: Optional[CampaignConfig],
+    jobs: Optional[int],
+    backend: Optional[str],
+    journal_path: Optional[str],
+    resume: bool,
+    resilience: "Optional[ResilienceConfig]",
+    chaos: "Optional[ChaosSpec]",
+    progress: bool,
+    on_step,
+    source: Optional[StepSource] = None,
+) -> CampaignReport:
+    """The campaign driver behind :func:`run_campaign` and
+    :func:`repro.service.coordinator.run_campaign_sharded`.
+
+    It owns everything but execution: backend resolution, the reference
+    run, step sampling, the journal and ``.memo`` sidecar, progress,
+    events, metrics and the merge.  Steps come from one of three
+    sources: inline, the supervised pool (``jobs > 1``, or supervision
+    or chaos requested), or ``source`` -- the remote worker fleet, which
+    delivers steps out of order.  Each step is journaled when it
+    arrives and merged in ascending step order through a reorder
+    buffer, so every source yields the same report; a source that ends
+    with steps missing gets no report at all.
+    """
     config = config or CampaignConfig()
     if jobs is None:
         jobs = config.jobs
     config = resolve_backend_config(program, config, backend)
-    resolved = config.backend
 
     with phase_timer("campaign.reference"):
         reference = _reference_run(program, config)
@@ -756,7 +795,8 @@ def run_campaign(
     report = CampaignReport(reference=reference.trace)
 
     parallel = jobs is not None and jobs > 1 and len(steps) > 1
-    supervised = parallel or resilience is not None or chaos is not None
+    supervised = source is not None or parallel or \
+        resilience is not None or chaos is not None
     journal = None
     #: Raw journal payloads awaiting decode (the "=" tail sentinel needs
     #: the reference run, so expansion happens at merge time).
@@ -797,49 +837,34 @@ def run_campaign(
     instruments = _campaign_instruments(registry)
     steps_counter = registry.counter("campaign_steps_total")
     _emit_event("campaign-start", steps=len(steps), resumed=len(done_steps),
-                jobs=jobs, backend=resolved, pruned=config.prune,
+                jobs=jobs, backend=config.backend, pruned=config.prune,
                 reference_steps=reference.trace.steps)
     reporter = ProgressReporter(len(steps), label="campaign") \
         if progress else None
-    injection_timer = phase_timer("campaign.injections", registry)
-    injection_timer.__enter__()
-    try:
-        if supervised and len(remaining) > 1:
-            from repro.injection.resilience import run_steps_supervised
 
-            producer = run_steps_supervised(
-                program, config, remaining, jobs, resilience, stats,
-                reference=reference, chaos=chaos)
-        else:
-            def producer_serial():
-                for step_index in remaining:
-                    yield step_index, _run_step(
-                        program, config, reference, budget, step_index)
-            producer = producer_serial()
-        def _ref_tail(step_index: int) -> Tuple[Tuple[int, int], ...]:
-            # The fault-free outputs after the injection point: what every
-            # MASKED run reproduces, and what the journal's "=" tail
-            # sentinel expands to.
-            produced = reference.outputs_before[step_index]
-            return tuple(reference.trace.outputs[produced:])
+    def _ref_tail(step_index: int) -> Tuple[Tuple[int, int], ...]:
+        # The fault-free outputs after the injection point: what every
+        # MASKED run reproduces, and what the journal's "=" tail
+        # sentinel expands to.
+        produced = reference.outputs_before[step_index]
+        return tuple(reference.trace.outputs[produced:])
 
-        merged = 0
-        total = len(steps)
-        for step_index in steps:
-            raw_outcomes = done_steps.get(step_index)
-            if raw_outcomes is not None:
+    total = len(steps)
+    merged = 0
+    #: Arrived steps waiting for every earlier step (the reorder buffer).
+    arrived: Dict[int, List[StepOutcome]] = {}
+
+    def _merge_ready() -> None:
+        nonlocal merged
+        while merged < total:
+            step_index = steps[merged]
+            outcomes = arrived.pop(step_index, None)
+            if outcomes is None:
+                raw_outcomes = done_steps.get(step_index)
+                if raw_outcomes is None:
+                    return  # not here yet
                 outcomes = _journal.decode_step(raw_outcomes,
                                                 _ref_tail(step_index))
-            else:
-                produced_step, outcomes = next(producer)
-                if produced_step != step_index:  # pragma: no cover
-                    raise RuntimeError(
-                        f"campaign engine yielded step {produced_step} "
-                        f"out of order (expected {step_index})")
-                if journal is not None:
-                    journal.append_step(step_index, outcomes,
-                                        _ref_tail(step_index))
-                    stats.journaled_steps += 1
             _merge_step(report, reference, config, step_index, outcomes,
                         instruments)
             steps_counter.inc()
@@ -848,10 +873,48 @@ def run_campaign(
                 reporter.advance()
             if on_step is not None:
                 on_step(merged, total)
+
+    producer = None
+    injection_timer = phase_timer("campaign.injections", registry)
+    injection_timer.__enter__()
+    try:
+        if not remaining:
+            producer = iter(())
+        elif source is not None:
+            producer = source(config, reference, remaining, stats)
+        elif supervised and len(remaining) > 1:
+            from repro.injection.resilience import run_steps_supervised
+
+            producer = run_steps_supervised(
+                program, config, remaining, jobs, resilience, stats,
+                reference=reference, chaos=chaos)
+        else:
+            producer = (
+                (step_index, _run_step(program, config, reference, budget,
+                                       step_index))
+                for step_index in remaining)
+        _merge_ready()
+        for step_index, outcomes in producer:
+            if journal is not None:
+                journal.append_step(step_index, outcomes,
+                                    _ref_tail(step_index))
+                stats.journaled_steps += 1
+            arrived[step_index] = outcomes
+            _merge_ready()
+        if merged < total:
+            missing = [step for step in steps[merged:]
+                       if step not in arrived and step not in done_steps]
+            raise ValueError(
+                f"campaign is missing {len(missing)} of {total} injection "
+                f"steps (first missing: {missing[0]}); refusing to build "
+                "a partial report")
     finally:
         # Interrupts and worker failures must not lose completed work:
         # everything appended so far is flushed to disk before the
-        # exception propagates.
+        # exception propagates, and the step source (pool or fleet)
+        # shuts down with it.
+        if producer is not None and hasattr(producer, "close"):
+            producer.close()
         if journal is not None:
             journal.close()
         injection_timer.__exit__(None, None, None)

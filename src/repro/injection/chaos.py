@@ -28,8 +28,8 @@ Scenarios (CLI: ``talft chaos``):
   uninterrupted in-process run -- and that queued and settled jobs
   survived the restart;
 * ``kill-remote-shard-worker`` -- SIGKILL a real TCP ``talft
-  shard-worker`` subprocess (not a locally forked fleet member)
-  mid-shard; the coordinator must reissue its tail over the wire;
+  shard-worker`` subprocess mid-shard; the coordinator must reissue its
+  tail over the wire;
 * ``recovery`` -- the machine-level analog: the recovering executor
   (:mod:`repro.recovery`) must reproduce the fault-free output sequence
   under an injected SEU, tying the two recovery layers together.
@@ -291,27 +291,6 @@ def _scenario_corrupt_journal(program, config, jobs, workdir
     )
 
 
-def _scenario_kill_shard_worker(program, config, jobs, workdir
-                                ) -> ScenarioResult:
-    """SIGKILL one shard-fleet worker mid-campaign; the coordinator must
-    reissue its unfinished tail and keep the merged report bit-identical."""
-    from repro.service import run_campaign_sharded
-
-    reference = run_campaign(program, config, jobs=1)
-    chaos = ChaosSpec(kill_shard_worker=0, kill_shard_after_steps=1)
-    chaotic = run_campaign_sharded(
-        program, config, shards=max(2, jobs),
-        resilience=ResilienceConfig(max_retries=3, backoff_base=0.01),
-        chaos=chaos,
-    )
-    return _compare(
-        "kill-shard-worker", reference, chaotic, chaotic.resilience,
-        expect=lambda stats: (
-            "" if stats.shard_worker_deaths
-            else "no shard worker death was observed"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subprocess chaos: real processes, real signals
 # ---------------------------------------------------------------------------
@@ -517,9 +496,8 @@ def _scenario_kill_service(program, config, jobs, workdir,
 
 def _scenario_kill_remote_shard_worker(program, config, jobs, workdir
                                        ) -> ScenarioResult:
-    """SIGKILL a real TCP ``talft shard-worker`` subprocess mid-shard
-    (PR 8's chaos killed a locally *forked* fleet member; this one dies
-    across a genuine process and socket boundary)."""
+    """SIGKILL a real TCP ``talft shard-worker`` subprocess mid-shard;
+    it dies across a genuine process and socket boundary."""
     import re
     import signal as _signal
 
@@ -596,8 +574,6 @@ SCENARIOS: Dict[str, _Scenario] = {
                   "crash-truncate the journal tail; --resume recomputes"),
         _Scenario("corrupt-journal", _scenario_corrupt_journal,
                   "flip a journal checksum; resume skips and recomputes"),
-        _Scenario("kill-shard-worker", _scenario_kill_shard_worker,
-                  "SIGKILL a shard-fleet worker; coordinator reissues"),
         _Scenario("kill-remote-shard-worker",
                   _scenario_kill_remote_shard_worker,
                   "SIGKILL a real TCP shard-worker subprocess mid-shard"),

@@ -14,9 +14,10 @@ redoing finished work.  The design follows write-ahead-log discipline:
   simply recomputes.  Per-step fsync would cost ~25% of campaign
   throughput for no correctness benefit.
 * **Per-line checksums.**  Every line is ``{"crc": <hex>, "d": <payload>}``
-  with the CRC-32 of the canonical payload encoding; torn writes (a
-  truncated tail after a crash) and bit-rot are detected line-by-line and
-  skipped with a warning instead of poisoning the resume.
+  with the CRC-32 of the canonical payload encoding
+  (:mod:`repro.core.framing`); torn writes (a truncated tail after a
+  crash) and bit-rot are detected line-by-line and skipped with a
+  warning instead of poisoning the resume.
 * **Delta-encoded output tails.**  A faulty run's recorded outputs are
   the tail it produced after the injection point; for MASKED runs -- the
   overwhelming majority on well-typed code -- that tail is byte-identical
@@ -43,17 +44,17 @@ to an uninterrupted run -- the property the chaos harness
 
 from __future__ import annotations
 
-import json
+import glob
 import os
 import time
 import warnings
 import weakref
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.core.errors import ReproError
 from repro.core.faults import Fault, QueueZapAddress, QueueZapValue, RegZap
+from repro.core.framing import frame, read_frames, rewrite
 from repro.injection.campaign import (
     CampaignConfig,
     FaultResult,
@@ -214,38 +215,6 @@ def encode_step(outcomes: List[StepOutcome],
     return [_outcome_to_json(outcome, ref_tail) for outcome in outcomes]
 
 
-# ---------------------------------------------------------------------------
-# Line framing
-# ---------------------------------------------------------------------------
-
-
-def _encode_payload(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _frame(payload: object) -> str:
-    encoded = _encode_payload(payload)
-    crc = zlib.crc32(encoded.encode()) & 0xFFFFFFFF
-    return f'{{"crc":"{crc:08x}","d":{encoded}}}\n'
-
-
-def _unframe(line: str) -> Optional[object]:
-    """Decode one journal line, or ``None`` when the line fails parsing or
-    its checksum (torn tail writes, bit flips)."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        wrapper = json.loads(line)
-        crc = int(wrapper["crc"], 16)
-        payload = wrapper["d"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    if zlib.crc32(_encode_payload(payload).encode()) & 0xFFFFFFFF != crc:
-        return None
-    return payload
-
-
 def _header_payload(prog_digest: str, conf_digest: str) -> Dict:
     return {"magic": _MAGIC, "version": _VERSION,
             "program": prog_digest, "config": conf_digest}
@@ -286,7 +255,7 @@ class CampaignJournal:
         """A new journal at ``path`` (truncating any existing file)."""
         handle = open(path, "w")
         journal = cls(path, handle, fsync)
-        journal._write_line(_frame(_header_payload(prog_digest, conf_digest)))
+        journal._write_line(frame(_header_payload(prog_digest, conf_digest)))
         return journal
 
     def append_step(self, step_index: int, outcomes: List[StepOutcome],
@@ -298,15 +267,15 @@ class CampaignJournal:
         :func:`decode_step`."""
         payload = {"step": step_index,
                    "out": [_outcome_to_json(o, ref_tail) for o in outcomes]}
-        self._write_line(_frame(payload))
+        self._write_line(frame(payload))
         self.appended_steps += 1
         self._appends_counter.inc()
 
     def append_raw(self, step_index: int, raw_outcomes: List) -> None:
         """Durably record one step from its already-encoded ``out`` payload
-        (:func:`encode_step`'s output) -- the shard coordinator journals
-        wire payloads verbatim, no decode/re-encode round trip."""
-        self._write_line(_frame({"step": step_index, "out": raw_outcomes}))
+        (:func:`encode_step`'s output), with no decode/re-encode round
+        trip."""
+        self._write_line(frame({"step": step_index, "out": raw_outcomes}))
         self.appended_steps += 1
         self._appends_counter.inc()
 
@@ -361,32 +330,6 @@ class JournalLoad:
     has_header: bool = False
 
 
-def read_journal_header(path: str) -> Optional[Dict]:
-    """The first valid header payload of a journal, or ``None``.
-
-    Lets shard tooling discover a journal's identity digests without
-    knowing them up front (:func:`load_journal` *verifies* against
-    expected digests; this *reads* them).  Corrupt leading lines are
-    skipped exactly as the loader does; a version mismatch raises
-    :class:`JournalMismatch`.
-    """
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        for line in handle:
-            payload = _unframe(line)
-            if payload is None:
-                continue
-            if isinstance(payload, dict) and payload.get("magic") == _MAGIC:
-                if payload.get("version") != _VERSION:
-                    raise JournalMismatch(
-                        f"journal {path} has version "
-                        f"{payload.get('version')}, expected {_VERSION}")
-                return payload
-            return None  # first valid line is not a header
-    return None
-
-
 def load_journal(path: str, prog_digest: str, conf_digest: str) -> JournalLoad:
     """Read every valid step from a journal, verifying its identity.
 
@@ -397,16 +340,8 @@ def load_journal(path: str, prog_digest: str, conf_digest: str) -> JournalLoad:
     as empty.
     """
     load = JournalLoad()
-    if not os.path.exists(path):
-        return load
-    with open(path) as handle:
-        lines = handle.readlines()
-    for index, line in enumerate(lines):
-        payload = _unframe(line)
-        if payload is None:
-            if line.strip():
-                load.corrupt_lines += 1
-            continue
+    payloads, load.corrupt_lines = read_frames(path)
+    for payload in payloads:
         if not load.has_header:
             # The first valid line must be the header.
             if not (isinstance(payload, dict) and
@@ -465,19 +400,22 @@ def resume_journal(
     too.  Rewriting through a temp file + atomic rename keeps the journal
     crash-safe even if this resume is itself interrupted.  A missing file
     resumes as a fresh journal.
+
+    Older releases journaled sharded campaigns as one file per shard,
+    ``PATH.shard-III-of-NNN``.  Their steps are read too (identity
+    verified like the main file) and folded into the rewrite, so a
+    campaign interrupted under that layout resumes without re-running
+    them; nothing writes the layout any more.
     """
     load = load_journal(path, prog_digest, conf_digest)
-    temp_path = path + ".tmp"
-    with open(temp_path, "w") as handle:
-        handle.write(_frame(_header_payload(prog_digest, conf_digest)))
-        for step_index in sorted(load.steps):
-            # Raw payloads rewrite verbatim; sentinels stay symbolic.
-            handle.write(_frame({
-                "step": step_index,
-                "out": load.steps[step_index],
-            }))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    for legacy in sorted(glob.glob(glob.escape(path) + ".shard-*-of-*")):
+        shard = load_journal(legacy, prog_digest, conf_digest)
+        load.corrupt_lines += shard.corrupt_lines
+        for step_index, raw_outcomes in shard.steps.items():
+            load.steps.setdefault(step_index, raw_outcomes)
+    # Raw payloads rewrite verbatim; "=" sentinels stay symbolic.
+    rewrite(path, [_header_payload(prog_digest, conf_digest)] + [
+        {"step": step_index, "out": load.steps[step_index]}
+        for step_index in sorted(load.steps)])
     handle = open(path, "a")
     return CampaignJournal(path, handle, fsync), load

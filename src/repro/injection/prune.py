@@ -46,15 +46,13 @@ and runs for real.
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import zlib
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.colors import Color
 from repro.core.errors import MachineStuck, ReproError
+from repro.core.framing import read_frames, rewrite
 from repro.core.instructions import (
     ArithRRI,
     ArithRRR,
@@ -598,18 +596,6 @@ def enable_tracking(program, config) -> None:
     memo_for(program, config).track_new = True
 
 
-def _memo_frame(payload) -> str:
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(encoded.encode()) & 0xFFFFFFFF
-    return f'{{"crc":"{crc:08x}","d":{encoded}}}\n'
-
-
-def _memo_unframe(line: str):
-    from repro.injection.journal import _unframe
-
-    return _unframe(line)
-
-
 def save_memo(path: str, program, config) -> None:
     """Persist the memo table next to the journal (temp file + atomic
     rename, so a crash mid-save leaves the previous file intact)."""
@@ -617,17 +603,10 @@ def save_memo(path: str, program, config) -> None:
     memo = _MEMO_TABLES.get(identity)
     if memo is None or not memo.table:
         return
-    temp_path = path + ".tmp"
-    with open(temp_path, "w") as handle:
-        handle.write(_memo_frame({
-            "magic": _MEMO_MAGIC, "version": _MEMO_VERSION,
-            "program": identity[0], "config": identity[1],
-        }))
-        for key, value in memo.table.items():
-            handle.write(_memo_frame([list(key), value]))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    rewrite(path, [{
+        "magic": _MEMO_MAGIC, "version": _MEMO_VERSION,
+        "program": identity[0], "config": identity[1],
+    }] + [[list(key), value] for key, value in memo.table.items()])
 
 
 def load_memo(path: str, program, config) -> int:
@@ -637,21 +616,17 @@ def load_memo(path: str, program, config) -> int:
     header, or corrupt lines silently load as empty -- never an error
     (unlike the journal, whose mismatch is a correctness hazard).
     """
-    if not os.path.exists(path):
-        return 0
-    identity = _identity(program, config)
     try:
-        with open(path) as handle:
-            lines = handle.readlines()
+        payloads, _ = read_frames(path)
     except OSError:
         return 0
+    if not payloads:
+        return 0
+    identity = _identity(program, config)
     header_seen = False
     loaded = 0
     memo = memo_for(program, config)
-    for line in lines:
-        payload = _memo_unframe(line)
-        if payload is None:
-            continue
+    for payload in payloads:
         if not header_seen:
             if not (isinstance(payload, dict)
                     and payload.get("magic") == _MEMO_MAGIC

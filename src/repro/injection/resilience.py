@@ -1,14 +1,13 @@
 """Worker supervision for crash-safe campaign pools.
 
-The plain pool path (:mod:`repro.injection.parallel`) trusts its workers:
-no deadlines, no retries, and a single killed or hung process aborts the
-whole campaign.  This module is the supervised replacement that
-``run_campaign`` layers its process pool on.  It exploits the same
-determinism contract as everything else in the engine -- per-step RNG
-seeded by ``(seed, step_index)`` makes every chunk of injection steps
-re-executable on any process at any time with identical results -- so
-supervision is free to kill, retry and re-place work without changing a
-single bit of the report:
+This module is the campaign driver's only process pool: ``run_campaign``
+with ``jobs > 1`` (and ``run_campaign_sharded`` without remote workers)
+runs its injection steps here, and no killed or hung worker can abort
+the campaign.  It exploits the same determinism contract as everything
+else in the engine -- per-step RNG seeded by ``(seed, step_index)``
+makes every chunk of injection steps re-executable on any process at
+any time with identical results -- so supervision is free to kill,
+retry and re-place work without changing a single bit of the report:
 
 * **per-chunk deadlines** (``ResilienceConfig.chunk_timeout``): a chunk
   that does not complete in time is presumed hung; the pool is torn down
@@ -177,27 +176,33 @@ def _sup_run_chunk(
     double-counting: only the delta of the attempt whose result is kept
     is ever folded.
     """
-    from repro.injection.campaign import _run_step
-
     program, config, reference, budget, chaos = _SUP_CONTEXT
     if chaos is not None:
         chaos.apply_in_worker(chunk_index)
+    pairs, telemetry = _timed_chunk(program, config, reference, budget,
+                                    step_indices)
+    if config.prune:
+        from repro.injection.prune import drain_new_entries
+
+        telemetry["memo_new"] = drain_new_entries(program, config)
+    return pairs, telemetry
+
+
+def _timed_chunk(program, config, reference, budget, step_indices):
+    """Run a chunk's steps; returns ``(pairs, telemetry)``."""
+    from repro.injection.campaign import _run_step
+
     started = time.perf_counter()
     pairs = [
         (step_index,
          _run_step(program, config, reference, budget, step_index))
         for step_index in step_indices
     ]
-    telemetry = {
+    return pairs, {
         "seconds": time.perf_counter() - started,
         "steps": len(pairs),
         "injections": sum(len(outcomes) for _, outcomes in pairs),
     }
-    if config.prune:
-        from repro.injection.prune import drain_new_entries
-
-        telemetry["memo_new"] = drain_new_entries(program, config)
-    return pairs, telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +233,7 @@ def run_steps_supervised(
     """Run injection steps across a *supervised* process pool.
 
     Yields ``(step_index, outcomes)`` in ascending step order, exactly
-    like the serial loop and :func:`repro.injection.parallel.
-    run_steps_parallel`, so the caller's merge (and journal) stay
+    like the serial loop, so the caller's merge (and journal) stay
     deterministic.  ``reference`` may pass in the parent's already-built
     :class:`~repro.injection.campaign.ReferenceRun` so serial fallback
     does not recompute it.
@@ -289,17 +293,8 @@ def run_steps_supervised(
 
     def run_chunk_inline(index: int) -> None:
         ref, budget = serial_context()
-        started = time.perf_counter()
-        pairs = [
-            (step_index,
-             _run_step(program, config, ref, budget, step_index))
-            for step_index in chunks[index]
-        ]
-        results[index] = (pairs, {
-            "seconds": time.perf_counter() - started,
-            "steps": len(pairs),
-            "injections": sum(len(outcomes) for _, outcomes in pairs),
-        })
+        results[index] = _timed_chunk(program, config, ref, budget,
+                                      chunks[index])
         done[index] = True
 
     def make_pool() -> ProcessPoolExecutor:

@@ -1,16 +1,15 @@
 """The campaign service: socket worker fleet, coordinator, HTTP server.
 
-``repro.service`` turns the sharded-campaign planning/merging layer
-(:mod:`repro.injection.shard`) into a running distributed system:
+``repro.service`` runs campaigns beyond one process pool:
 
 * :mod:`repro.service.protocol` -- length-prefixed JSON-over-TCP framing
   shared by workers and the coordinator;
 * :mod:`repro.service.worker` -- the shard worker loop (CLI: ``talft
   shard-worker``), executing injection steps and streaming results;
 * :mod:`repro.service.coordinator` -- :func:`run_campaign_sharded`:
-  plans shards, drives a local forked fleet or remote TCP workers,
-  journals every streamed step, steals work from slow workers, reissues
-  from dead ones, and merges the exact single-process report;
+  the local process pool, or a step source for the campaign driver that
+  plans shards over remote TCP workers, steals work from slow workers
+  and reissues from dead ones;
 * :mod:`repro.service.store` -- :class:`JobStore`: the append-only,
   CRC-framed job journal behind ``talft serve --state-dir`` that makes
   the control plane itself crash-safe;

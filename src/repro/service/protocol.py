@@ -73,9 +73,8 @@ def unpack_pickle(data: str) -> Any:
 # prove knowledge of a shared fleet key *before* any pickle payload flows:
 # the worker's ``hello`` carries a nonce, the coordinator answers with
 # ``auth`` (an HMAC over that nonce plus its own nonce), and the worker
-# replies ``auth-ok`` (an HMAC over the coordinator's nonce).  Local
-# forked fleets use a per-campaign random key; remote fleets share one
-# via ``--authkey-file`` or the environment variable below.
+# replies ``auth-ok`` (an HMAC over the coordinator's nonce).  The fleet
+# shares the key via ``--authkey-file`` or the environment variable below.
 
 AUTHKEY_ENV = "TALFT_SHARD_AUTHKEY"
 

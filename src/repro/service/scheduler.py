@@ -26,8 +26,8 @@ the real scheduler behind ``talft serve``:
   :class:`threading.Event`; the service's runner checks it (plus the
   job's deadline) at each campaign step boundary and aborts through the
   engine's existing abort path -- ``run_campaign`` flushes and closes
-  its journal on the way out, and the shard coordinator force-closes its
-  fleet, so a cancelled job's completed steps stay durable.
+  its journal and tears its pool down on the way out, so a cancelled
+  job's completed steps stay durable.
 * **Graceful drain.**  :meth:`FairScheduler.drain` stops admission,
   interrupts running jobs cooperatively (they checkpoint through their
   campaign journals), and joins the workers -- the SIGTERM path of

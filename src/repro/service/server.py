@@ -38,14 +38,17 @@ ones, and *resumes* interrupted ones through ``--resume`` -- the final
 report is bit-identical (fingerprint and latency buckets) to an
 uninterrupted run, which the ``kill-service`` chaos scenario asserts.
 
-Fork-safety: jobs default to ``shards == 1``, executed by plain
-:func:`~repro.injection.campaign.run_campaign` *in-process*.  Jobs that
-explicitly ask for ``shards > 1`` use the sharded coordinator with a
-**spawn** local fleet: :class:`ThreadingHTTPServer` handler threads may
-hold io/stdlib locks at any moment, so forking from this process could
-hand a worker child a lock that is never released -- spawned workers
-start from a fresh interpreter instead (one extra compile warm-up per
-worker, which a long-running service amortizes).
+Fork-safety: every job runs through
+:func:`~repro.injection.campaign.run_campaign`.  Jobs default to one
+in-process serial engine; a job asking for ``shards > 1`` (or
+``config.jobs > 1``) runs on the supervised process pool with that many
+workers.  :class:`ThreadingHTTPServer` handler threads may hold
+io/stdlib locks at any moment, so forking from this process could hand
+a worker child a lock that is never released.  The pool sees more than
+one live thread here and **spawns** its workers instead
+(:func:`repro.core.pool.mp_context`): each starts from a fresh
+interpreter, one extra compile warm-up per worker that a long-running
+service amortizes.
 """
 
 from __future__ import annotations
@@ -394,9 +397,9 @@ class CampaignService:
             with self._lock:
                 job["progress"] = {"done": done, "total": total}
             # Cooperative abort, checked at every step boundary: the
-            # engine's own cleanup (journal flush/close, fleet
-            # force-close) runs as the exception unwinds, so everything
-            # completed so far stays durable.
+            # engine's own cleanup (journal flush/close, pool teardown)
+            # runs as the exception unwinds, so everything completed so
+            # far stays durable.
             if drain.is_set():
                 raise JobInterrupted()
             if cancel is not None and cancel.is_set():
@@ -410,20 +413,13 @@ class CampaignService:
         try:
             program = compile_kernel(job["kernel"], job["mode"]).program
             config = _build_config(job["config"])
-            if job["shards"] > 1:
-                from repro.service.coordinator import run_campaign_sharded
-
-                # spawn, not fork: HTTP handler threads may hold stdlib
-                # locks at fork time (see module docstring).
-                report = run_campaign_sharded(
-                    program, config, shards=job["shards"],
-                    journal_path=journal_path,
-                    resume=journal_path is not None,
-                    on_step=on_step, fleet_start_method="spawn")
-            else:
-                report = run_campaign(
-                    program, config, journal_path=journal_path,
-                    resume=journal_path is not None, on_step=on_step)
+            # The pool spawns, never forks, from this threaded process
+            # (see module docstring).
+            report = run_campaign(
+                program, config,
+                jobs=job["shards"] if job["shards"] > 1 else None,
+                journal_path=journal_path,
+                resume=journal_path is not None, on_step=on_step)
         except JobInterrupted:
             # Drain: journal the job back to queued so the next start
             # resumes it from its campaign journal.

@@ -3,8 +3,9 @@
 ``talft serve --state-dir DIR`` keeps every job's lifecycle in an
 append-only, CRC-framed **job journal** (``DIR/jobs.journal``) in the
 same write-ahead-log style as the campaign result journal
-(:mod:`repro.injection.journal`, PR 4) -- one framing codec, one torn-
-tail discipline, one recovery philosophy:
+(:mod:`repro.injection.journal`) -- one framing codec
+(:mod:`repro.core.framing`), one torn-tail discipline, one recovery
+philosophy:
 
 * **Append-only events.**  One line per state change: a ``job`` snapshot
   at submission, a ``state`` line per transition
@@ -44,7 +45,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, TextIO
 
-from repro.injection.journal import _frame, _unframe
+from repro.core.framing import frame, read_frames, rewrite
 
 _MAGIC = "talft-job-journal"
 _VERSION = 1
@@ -76,17 +77,9 @@ def _replay(path: str) -> JobStoreLoad:
     a job the service cannot reconstruct cannot be run.
     """
     load = JobStoreLoad()
-    if not os.path.exists(path):
-        return load
-    with open(path) as handle:
-        lines = handle.readlines()
+    payloads, load.corrupt_lines = read_frames(path)
     saw_header = False
-    for line in lines:
-        payload = _unframe(line)
-        if payload is None:
-            if line.strip():
-                load.corrupt_lines += 1
-            continue
+    for payload in payloads:
         if not saw_header:
             if not (isinstance(payload, dict) and
                     payload.get("magic") == _MAGIC and
@@ -163,15 +156,9 @@ class JobStore:
         line per job regardless of how many transitions history held.
         """
         load = _replay(self.path)
-        temp_path = self.path + ".tmp"
-        with open(temp_path, "w") as handle:
-            handle.write(_frame({"magic": _MAGIC, "version": _VERSION}))
-            for job_id in sorted(load.jobs, key=_job_sort_key):
-                handle.write(_frame({"event": "job",
-                                     "job": load.jobs[job_id]}))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, self.path)
+        rewrite(self.path, [{"magic": _MAGIC, "version": _VERSION}] + [
+            {"event": "job", "job": load.jobs[job_id]}
+            for job_id in sorted(load.jobs, key=_job_sort_key)])
         self._handle = open(self.path, "a")
         return load
 
@@ -212,7 +199,7 @@ class JobStore:
     def _append(self, payload: Dict[str, Any]) -> None:
         if self._handle is None:
             raise RuntimeError("JobStore.open() must run before recording")
-        self._handle.write(_frame(payload))
+        self._handle.write(frame(payload))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 

@@ -4,27 +4,23 @@ A worker is one process holding one coordinator connection.  It is
 deliberately stateless across campaigns: everything it needs arrives in
 the ``job`` message (base64-pickled program + config, identity digests),
 and everything it produces leaves as ``step`` messages encoded with the
-campaign journal's own codec -- the coordinator can append the payloads
-to shard journals verbatim.
+campaign journal's own codec (:func:`repro.injection.journal.
+encode_step`).
 
 Determinism contract: a worker executes
 :func:`repro.injection.campaign._run_step` exactly as the serial engine
 would -- per-step RNG seeded by ``(seed, step_index)`` -- so *which*
-worker runs a step never matters.  On (re)start the worker re-warms the
-compiled-program cache (free under ``fork``, one compile under
-``spawn``/TCP) and rebuilds the checkpointed reference run, mirroring
-the supervised pool's initializer.
+worker runs a step never matters.  On every job the worker warms the
+compiled-program cache and rebuilds the checkpointed reference run,
+mirroring the supervised pool's initializer.
 
-Three entry points:
+Two entry points:
 
 * :func:`run_connect` -- dial a coordinator (``talft shard-worker
   --connect HOST:PORT``), serve one connection, exit;
 * :func:`run_listen` -- bind and accept coordinators (``talft
   shard-worker --listen [HOST:]PORT``), serving one connection at a
-  time; ``--once`` exits after the first (how tests manage fleets);
-* :func:`_local_worker_main` -- the ``fork`` target for the
-  coordinator's default local fleet (dials the coordinator's ephemeral
-  loopback listener, i.e. ``--connect`` semantics in-process).
+  time; ``--once`` exits after the first (how tests manage fleets).
 """
 
 from __future__ import annotations
@@ -90,9 +86,8 @@ def serve_connection(sock: socket.socket,
     authentication is refused instead (mismatched fleet configuration
     fails loudly rather than silently downgrading).
 
-    Starts from a fresh metrics registry (forked local workers inherit
-    the coordinator's counters otherwise, which would double-count once
-    the final ``bye`` metrics are merged back host-labelled).
+    Starts from a fresh metrics registry, so the final ``bye`` metrics
+    carry this connection's work only.
     """
     from repro.injection.campaign import _run_step
     from repro.injection.journal import encode_step
@@ -221,11 +216,3 @@ def run_listen(host: str, port: int, once: bool = False,
     finally:
         listener.close()
 
-
-def _local_worker_main(address: Tuple[str, int],
-                       authkey: Optional[bytes] = None) -> None:
-    """Entry point of a forked/spawned local-fleet worker process."""
-    try:
-        run_connect(address, authkey=authkey)
-    except OSError:
-        pass  # coordinator already gone; exit quietly

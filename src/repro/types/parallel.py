@@ -5,7 +5,7 @@ precondition (see :mod:`repro.types.code`), so blocks are mutually
 independent given the label types: the work partitions arbitrarily
 without changing any result.  This module fans the blocks out across
 ``jobs`` worker processes, following the same plumbing as the
-fault-injection pool (:mod:`repro.injection.parallel`):
+fault-injection pool (:mod:`repro.injection.resilience`):
 
 * the program tables (``psi``, code, label types, hints) are shipped once
   per worker through the pool initializer, not once per task;

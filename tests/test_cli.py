@@ -230,30 +230,27 @@ class TestShardedCampaignCli:
         sharded = capsys.readouterr().out.splitlines()[0]
         assert sharded == single
 
-    def test_journal_merge_then_plain_resume(self, tmp_path, capsys):
-        journal = str(tmp_path / "dot.journal")
-        assert main(["campaign", DOT_MWL, "--samples", "6", "--seed", "7",
-                     "--shards", "3", "--journal", journal]) == 0
-        sharded = capsys.readouterr().out.splitlines()[0]
+    def test_sharded_journal_then_plain_resume(self, tmp_path, capsys):
+        """``--shards`` and ``--jobs`` runs each write exactly one journal
+        at PATH, and a plain resume replays either one into the same
+        summary without re-executing anything."""
         import glob
 
-        shard_files = sorted(glob.glob(journal + ".shard-*"))
-        assert len(shard_files) == 3
-        merged = str(tmp_path / "merged.journal")
-        assert main(["journal", "merge", "-o", merged] + shard_files) == 0
-        assert "merged 3 journal(s)" in capsys.readouterr().out
-        # A plain single-process resume replays the combined journal and
-        # reconstructs the identical report without re-executing anything.
-        assert main(["campaign", DOT_MWL, "--samples", "6", "--seed", "7",
-                     "--journal", merged, "--resume"]) == 0
-        resumed = capsys.readouterr().out.splitlines()[0]
-        assert resumed == sharded
-
-    def test_journal_merge_missing_input(self, tmp_path, capsys):
-        merged = str(tmp_path / "out.journal")
-        assert main(["journal", "merge", "-o", merged,
-                     str(tmp_path / "absent.journal")]) == 1
-        assert "no valid header" in capsys.readouterr().err
+        summaries = []
+        for flags in (["--shards", "2"], ["--jobs", "2"]):
+            journal = str(tmp_path / f"dot{flags[0]}.journal")
+            assert main(["campaign", DOT_MWL, "--samples", "6", "--seed",
+                         "7", "--journal", journal] + flags) == 0
+            summaries.append(capsys.readouterr().out.splitlines()[0])
+            assert sorted(glob.glob(journal + "*")) == [journal,
+                                                     journal + ".memo"]
+            assert main(["campaign", DOT_MWL, "--samples", "6", "--seed",
+                         "7", "--journal", journal, "--resume"]) == 0
+            resumed = capsys.readouterr().out.splitlines()
+            assert resumed[0] == summaries[-1]
+            assert "resumed_steps: 6" in resumed[1]
+            assert "journaled_steps" not in resumed[1]
+        assert summaries[0] == summaries[1]
 
 
 class TestChaos:

@@ -27,7 +27,7 @@ from repro.injection.chaos import (
     fingerprint_digest,
     truncate_journal_tail,
 )
-from repro.injection.journal import _frame
+from repro.core.framing import frame
 from repro.service.scheduler import (
     FairScheduler,
     QueueFull,
@@ -115,11 +115,11 @@ class TestJobStore:
     def test_events_for_unknown_jobs_count_as_corrupt(self, tmp_path):
         path = tmp_path / JobStore.JOURNAL_NAME
         with open(path, "w") as handle:
-            handle.write(_frame({"magic": "talft-job-journal",
+            handle.write(frame({"magic": "talft-job-journal",
                                  "version": 1}))
-            handle.write(_frame({"event": "state", "id": "job-9",
+            handle.write(frame({"event": "state", "id": "job-9",
                                  "status": "done"}))
-            handle.write(_frame({"event": "wat"}))
+            handle.write(frame({"event": "wat"}))
         with pytest.warns(UserWarning):
             load = _replay(str(path))
         assert load.jobs == {}
@@ -166,9 +166,17 @@ class TestFairScheduler:
         so everything submitted next queues up behind it."""
         recorder.blocking = True
         scheduler = FairScheduler(recorder, max_concurrent=1, **kwargs)
+        self.__dict__.setdefault("made", []).append((recorder, scheduler))
         scheduler.submit("blocker")
         assert recorder.started.wait(timeout=10)
         return scheduler
+
+    def teardown_method(self, method):
+        # Stop every worker thread: one left parked would make later
+        # process pools in this interpreter spawn instead of fork.
+        for recorder, scheduler in self.__dict__.get("made", []):
+            recorder.gate.set()
+            scheduler.drain(timeout=10)
 
     def test_priority_within_tenant_then_fifo(self):
         recorder = _Recorder()
@@ -305,6 +313,11 @@ def service_trio():
 SLOW = {"max_injection_steps": 24, "max_sites_per_step": 6,
         "max_values_per_site": 2, "seed": 7}
 
+#: A job too slow to finish on its own: tests that need a job still
+#: running when they assert park the worker on it (after
+#: ``_wait_running``) and cancel it at the end.
+BLOCKER = dict(SLOW, max_injection_steps=100_000)
+
 
 def _wait_running(service, job_id, timeout=60.0):
     deadline = time.monotonic() + timeout
@@ -362,7 +375,8 @@ class TestCancellationAndTimeouts:
     def test_cancel_queued_job(self, service_trio):
         _, service, base = service_trio
         _, blocker, _ = _request("POST", base + "/jobs",
-                                 {"kernel": "adpcm", "config": SLOW})
+                                 {"kernel": "adpcm", "config": BLOCKER})
+        _wait_running(service, blocker["id"])
         _, queued, _ = _request("POST", base + "/jobs",
                                 {"kernel": "adpcm", "config": SMALL})
         status, body, _ = _request("DELETE",
@@ -379,7 +393,7 @@ class TestCancellationAndTimeouts:
     def test_cancel_running_job_aborts_cooperatively(self, service_trio):
         _, service, base = service_trio
         _, body, _ = _request("POST", base + "/jobs",
-                              {"kernel": "adpcm", "config": SLOW})
+                              {"kernel": "adpcm", "config": BLOCKER})
         _wait_running(service, body["id"])
         status, verdict, _ = _request("DELETE", f"{base}/jobs/{body['id']}")
         assert (status, verdict["status"]) == (202, "cancelling")
@@ -424,7 +438,8 @@ class TestRetentionAndFilters:
     def test_status_and_tenant_filters(self, service_trio):
         _, service, base = service_trio
         _, blocker, _ = _request("POST", base + "/jobs", {
-            "kernel": "adpcm", "tenant": "ops", "config": SLOW})
+            "kernel": "adpcm", "tenant": "ops", "config": BLOCKER})
+        _wait_running(service, blocker["id"])
         _, queued, _ = _request("POST", base + "/jobs", {
             "kernel": "adpcm", "tenant": "science", "config": SMALL})
         status, body, _ = _request("GET", base + "/jobs?tenant=science")
@@ -442,7 +457,8 @@ class TestBackpressure:
         server, service, base = _serve(service)
         try:
             _, blocker, _ = _request("POST", base + "/jobs",
-                                     {"kernel": "adpcm", "config": SLOW})
+                                     {"kernel": "adpcm", "config": BLOCKER})
+            _wait_running(service, blocker["id"])
             accepted = [blocker["id"]]
             refused = None
             for _ in range(6):
@@ -484,8 +500,7 @@ class TestConcurrentSubmission:
             # against a partial (unequal) backlog, and the fair-queue
             # ordering asserted below only holds for equal backlogs.
             _, blocker, _ = _request("POST", base + "/jobs", {
-                "kernel": "adpcm",
-                "config": dict(SLOW, max_injection_steps=100_000)})
+                "kernel": "adpcm", "config": BLOCKER})
             _wait_running(service, blocker["id"])
             results = []
             errors = []
@@ -544,6 +559,78 @@ class TestConcurrentSubmission:
 
 
 # ---------------------------------------------------------------------------
+# Fork safety: pools started from the threaded service spawn
+# ---------------------------------------------------------------------------
+
+
+class TestForkSafety:
+    def test_pool_start_method_follows_thread_count(self):
+        """``fork`` while the process has one thread, ``spawn`` while a
+        second is alive (run in a fresh interpreter, so no thread left
+        over from another test can skew it)."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import threading\n"
+            "from repro.core.pool import mp_context\n"
+            "seen = [mp_context().get_start_method()]\n"
+            "release = threading.Event()\n"
+            "bystander = threading.Thread(target=release.wait)\n"
+            "bystander.start()\n"
+            "seen.append(mp_context().get_start_method())\n"
+            "release.set()\n"
+            "bystander.join()\n"
+            "seen.append(mp_context().get_start_method())\n"
+            "print(' '.join(seen))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True).stdout
+        assert out.split() == ["fork", "spawn", "fork"]
+
+    def test_pooled_jobs_settle_with_serial_fingerprint(self, monkeypatch):
+        """Jobs asking for ``config.jobs > 1`` or ``shards > 1`` run on
+        the process pool; from the multi-threaded service that pool must
+        spawn, never fork, and still reproduce the serial report."""
+        import repro.injection.resilience as resilience
+
+        started = []
+        real_context = resilience._mp_context
+
+        def recording_context():
+            context = real_context()
+            started.append(context.get_start_method())
+            return context
+
+        monkeypatch.setattr(resilience, "_mp_context", recording_context)
+        reference = run_campaign(compile_kernel("adpcm", "ft").program,
+                                 CampaignConfig(**SMALL))
+        server, service, base = _serve()
+        try:
+            ids = []
+            for job in ({"kernel": "adpcm", "config": dict(SMALL, jobs=2)},
+                        {"kernel": "adpcm", "shards": 2, "config": SMALL}):
+                status, body, _ = _request("POST", base + "/jobs", job)
+                assert status == 202, body
+                ids.append(body["id"])
+            for job_id in ids:
+                job = service.wait(job_id, timeout=240)
+                assert job["status"] == "done", job["error"]
+                assert job["result"]["fingerprint"] == \
+                    fingerprint_digest(reference)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service._scheduler.drain(timeout=30, interrupt=True)
+        assert started == ["spawn", "spawn"]
+
+
+# ---------------------------------------------------------------------------
 # Durability: restart recovery
 # ---------------------------------------------------------------------------
 
@@ -593,14 +680,31 @@ class TestRestartRecovery:
             for bucket, count in sorted(reference.latency_buckets.items())}
         assert resumed["result"]["resilience"]["resumed_steps"] > 0
 
-    def test_drain_parks_running_job_for_next_start(self, tmp_path):
+    def test_drain_parks_running_job_for_next_start(self, tmp_path,
+                                                      monkeypatch):
         """SIGTERM semantics in-process: drain interrupts the running
         job at a step boundary, journals it back to queued, and the next
         start finishes it with a bit-identical report."""
+        from repro.service import server as service_module
+
         program = compile_kernel("adpcm", "ft").program
         reference = run_campaign(program, CampaignConfig(**SLOW))
+        held = threading.Event()
+        real_run_campaign = service_module.run_campaign
 
-        service = CampaignService(state_dir=str(tmp_path))
+        def run_held_after_first_step(*args, on_step, **kwargs):
+            def hook(done, total):
+                on_step(done, total)
+                if done == 1 and not held.is_set():
+                    # Hold the first run after one step until the drain
+                    # is requested, so the drain lands mid-campaign.
+                    held.set()
+                    first._scheduler.drain_event.wait(timeout=60)
+            return real_run_campaign(*args, on_step=hook, **kwargs)
+
+        monkeypatch.setattr(service_module, "run_campaign",
+                            run_held_after_first_step)
+        service = first = CampaignService(state_dir=str(tmp_path))
         job_id = service.submit({"kernel": "adpcm", "config": SLOW})
         _wait_running(service, job_id)
         assert service.drain(timeout=60)

@@ -1,21 +1,24 @@
-"""Tests for the horizontally sharded campaign engine.
+"""Tests for sharded campaigns and the remote worker fleet.
 
 Three layers, one contract:
 
-* :mod:`repro.injection.shard` -- deterministic planning, the
-  order-insensitive merge, and the offline journal tooling;
+* the campaign driver's order-insensitive merge: steps may arrive in any
+  order from any source, and a source that ends with steps missing gets
+  no report;
 * :mod:`repro.service` -- the wire protocol, the worker loop, the
-  coordinator's fleet scheduling (local forks and TCP workers, work
-  stealing, dead-worker reissue), and the HTTP campaign service;
+  fleet's scheduling over TCP workers (work stealing, dead-worker
+  reissue), and the HTTP campaign service;
 * the contract: a sharded campaign's report is **bit-identical**
   (fingerprint-equal, ``latency_buckets`` included) to the
   single-process run -- under every backend, with pruning on or off,
-  with workers dying mid-shard, and across interrupt/resume.
+  with workers dying mid-shard, and across interrupt/resume, with one
+  journal per campaign.
 """
 
 import glob
 import json
 import os
+import random
 import re
 import socket
 import subprocess
@@ -27,25 +30,22 @@ import urllib.request
 
 import pytest
 
+from repro.core.pool import chunk
 from repro.injection import CampaignConfig, ResilienceConfig, run_campaign
 from repro.injection.campaign import (
+    _drive,
     _injection_steps,
     _reference_run,
+    _run_step,
     resolve_backend_config,
 )
 from repro.injection.chaos import ChaosSpec, report_fingerprint
 from repro.injection.journal import (
+    CampaignJournal,
     JournalMismatch,
     config_digest,
+    load_journal,
     program_digest,
-)
-from repro.injection.shard import (
-    existing_shard_journals,
-    merge_journal_files,
-    merge_outcomes,
-    plan_campaign_shards,
-    plan_shards,
-    reconstruct_report,
 )
 from repro.service import run_campaign_sharded
 from repro.service.protocol import (
@@ -69,80 +69,123 @@ def _program(name="adpcm"):
     return compile_kernel(name, "ft").program
 
 
+def _start_tcp_workers(count):
+    """``count`` real ``talft shard-worker --listen 127.0.0.1:0 --once``
+    subprocesses and the addresses they announced."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    procs, addresses = [], []
+    try:
+        for _ in range(count):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "shard-worker",
+                 "--listen", "127.0.0.1:0", "--once"],
+                stdout=subprocess.PIPE, text=True, env=env)
+            procs.append(proc)
+            line = proc.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", line)
+            assert match, f"worker did not announce a port: {line!r}"
+            addresses.append((match.group(1), int(match.group(2))))
+    except BaseException:
+        _stop(procs)
+        raise
+    return procs, addresses
+
+
+def _stop(procs):
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+
+
 # ---------------------------------------------------------------------------
-# Planner
+# Planner: the fleet's shards are contiguous balanced parts of the
+# pending steps (repro.core.pool.chunk)
 # ---------------------------------------------------------------------------
 
 
 class TestPlanner:
     def test_partition_is_exact_and_ordered(self):
-        specs = plan_shards(list(range(100)), 7, "p", "c")
-        assert len(specs) == 7
-        recombined = [step for spec in specs for step in spec.steps]
+        parts = chunk(list(range(100)), 7)
+        assert len(parts) == 7
+        recombined = [step for part in parts for step in part]
         assert recombined == list(range(100))  # contiguous, disjoint, total
-        sizes = [len(spec.steps) for spec in specs]
+        sizes = [len(part) for part in parts]
         assert max(sizes) - min(sizes) <= 1  # balanced
 
     def test_plan_is_deterministic(self):
-        assert plan_shards(list(range(50)), 4, "p", "c") == \
-            plan_shards(list(range(50)), 4, "p", "c")
+        assert chunk(list(range(50)), 4) == chunk(list(range(50)), 4)
 
     def test_more_shards_than_steps_never_plans_empty_shards(self):
-        specs = plan_shards([3, 9], 8, "p", "c")
-        assert len(specs) == 2
-        assert all(spec.steps for spec in specs)
-        assert all(spec.num_shards == 2 for spec in specs)
+        parts = chunk([3, 9], 8)
+        assert len(parts) == 2
+        assert all(parts)
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            plan_shards([1, 2], 0, "p", "c")
-
-    def test_specs_carry_campaign_identity(self):
-        program = _program()
-        config = resolve_backend_config(program, CONFIG)
-        specs = plan_campaign_shards(program, config, 3)
-        reference = _reference_run(program, config)
-        steps = _injection_steps(reference.num_steps, config)
-        assert [s for spec in specs for s in spec.steps] == steps
-        assert all(spec.program_digest == program_digest(program)
-                   for spec in specs)
-        assert all(spec.config_digest == config_digest(config)
-                   for spec in specs)
-
-    def test_journal_path_naming(self):
-        spec = plan_shards(list(range(10)), 4, "p", "c")[2]
-        assert spec.journal_path("/tmp/x.journal") == \
-            "/tmp/x.journal.shard-002-of-004"
+            run_campaign_sharded(_program(), CONFIG, shards=0)
 
 
 # ---------------------------------------------------------------------------
-# Order-insensitive merge
+# The driver's order-insensitive merge
 # ---------------------------------------------------------------------------
+
+
+def _outcomes_by_step(program, config):
+    reference = _reference_run(program, config)
+    budget = reference.trace.steps + config.step_slack
+    steps = _injection_steps(reference.num_steps, config)
+    return {step: _run_step(program, config, reference, budget, step)
+            for step in steps}
+
+
+def _fake_source(outcomes, order):
+    """A step source replaying precomputed outcomes in ``order(steps)``
+    -- what a fleet delivering out of order looks like to the driver."""
+    def source(config, reference, steps, stats):
+        for step in order(list(steps)):
+            yield step, outcomes[step]
+    return source
+
+
+def _drive_source(program, config, source, journal_path=None):
+    return _drive(program, config, None, None, journal_path, False, None,
+                  None, False, None, source=source)
 
 
 class TestMergeOutcomes:
-    def test_any_arrival_order_merges_identically(self):
-        from repro.injection.campaign import _run_step
-
+    def test_any_arrival_order_merges_identically(self, tmp_path):
         program = _program()
         config = resolve_backend_config(program, CONFIG)
         base = run_campaign(program, config)
-        reference = _reference_run(program, config)
-        steps = _injection_steps(reference.num_steps, config)
-        budget = reference.trace.steps + config.step_slack
-        done = {step: _run_step(program, config, reference, budget, step)
-                for step in reversed(steps)}  # gathered "backwards"
-        report = merge_outcomes(reference, config, steps, done)
+        outcomes = _outcomes_by_step(program, config)
+
+        def shuffled(steps):
+            random.Random(7).shuffle(steps)
+            return steps
+
+        journal = str(tmp_path / "c.journal")
+        report = _drive_source(program, config,
+                               _fake_source(outcomes, shuffled), journal)
         assert report_fingerprint(report) == report_fingerprint(base)
         assert report.latency_buckets == base.latency_buckets
+        # Journaled on arrival, in arrival order: a resume replays all.
+        resumed = run_campaign(program, config, journal_path=journal,
+                               resume=True)
+        assert report_fingerprint(resumed) == report_fingerprint(base)
+        assert resumed.resilience.resumed_steps == len(outcomes)
 
     def test_missing_steps_refuse_to_merge(self):
         program = _program()
         config = resolve_backend_config(program, CONFIG)
-        reference = _reference_run(program, config)
-        steps = _injection_steps(reference.num_steps, config)
+        outcomes = _outcomes_by_step(program, config)
         with pytest.raises(ValueError, match="missing"):
-            merge_outcomes(reference, config, steps, {})
+            _drive_source(program, config, _fake_source(
+                outcomes, lambda steps: list(reversed(steps))[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +322,22 @@ class TestShardedParity:
         assert report_fingerprint(sharded) == report_fingerprint(base)
 
     def test_spawn_fleet_matches_single_process(self):
-        # The spawn start method is what the HTTP service uses (forking
-        # a multi-threaded process is unsafe); parity must hold there too.
+        # A second live thread makes the pool spawn its workers, as it
+        # does inside the HTTP service (forking a multi-threaded process
+        # is unsafe); parity must hold there too.
+        from repro.core.pool import mp_context
+
         program = _program()
         base = run_campaign(program, CONFIG)
-        sharded = run_campaign_sharded(program, CONFIG, shards=2,
-                                       fleet_start_method="spawn")
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait)
+        bystander.start()
+        try:
+            assert mp_context().get_start_method() == "spawn"
+            sharded = run_campaign_sharded(program, CONFIG, shards=2)
+        finally:
+            release.set()
+            bystander.join()
         assert report_fingerprint(sharded) == report_fingerprint(base)
 
     def test_more_workers_than_shards(self):
@@ -514,45 +567,77 @@ class TestFleetAuth:
 
 class TestChaosKillShardWorker:
     def test_killed_worker_reissues_bit_identically(self):
+        """Fleet worker 0 -- a real ``talft shard-worker`` subprocess --
+        SIGKILLs itself after streaming one step; its unfinished tail is
+        reissued to the survivor and the report stays bit-identical.
+
+        Two shards of 20 steps each: the survivor cannot run out of work
+        (and steal the doomed tail) until it has run 20 steps, so the
+        death is read long before the campaign could finish without it.
+        """
         program = _program()
-        base = run_campaign(program, CONFIG)
+        config = CampaignConfig(max_injection_steps=40, max_sites_per_step=6,
+                                max_values_per_site=2, seed=20260808)
+        base = run_campaign(program, config)
         chaos = ChaosSpec(kill_shard_worker=0, kill_shard_after_steps=1)
-        sharded = run_campaign_sharded(
-            program, CONFIG, shards=4, chaos=chaos,
-            resilience=ResilienceConfig(max_retries=3, backoff_base=0.01))
+        procs, addresses = _start_tcp_workers(2)
+        try:
+            sharded = run_campaign_sharded(
+                program, config, shards=2, workers=addresses, chaos=chaos,
+                resilience=ResilienceConfig(max_retries=3,
+                                            backoff_base=0.01))
+        finally:
+            _stop(procs)
         assert report_fingerprint(sharded) == report_fingerprint(base)
         stats = sharded.resilience
         assert stats.shard_worker_deaths >= 1
         assert stats.retries >= 1 or stats.shard_steals >= 1
 
-    def test_scenario_registered(self):
-        from repro.injection.chaos import SCENARIOS
-
-        assert "kill-shard-worker" in SCENARIOS
-
 
 # ---------------------------------------------------------------------------
-# Shard journals: interrupt, resume, offline merge, reconstruction
+# Journals: one per campaign, interrupt, resume, older shard journals
 # ---------------------------------------------------------------------------
+
+
+def _write_legacy_shard_journals(program, config, journal, shards):
+    """Split a finished campaign's journal into the per-shard layout
+    older releases wrote (``PATH.shard-III-of-NNN``, each a complete
+    journal for one contiguous part of the steps) and remove ``PATH``."""
+    prog_digest = program_digest(program)
+    conf_digest = config_digest(config)
+    load = load_journal(journal, prog_digest, conf_digest)
+    os.remove(journal)
+    parts = chunk(sorted(load.steps), shards)
+    paths = []
+    for index, part in enumerate(parts):
+        path = f"{journal}.shard-{index:03d}-of-{len(parts):03d}"
+        with CampaignJournal.fresh(path, prog_digest, conf_digest) as out:
+            for step in part:
+                out.append_raw(step, load.steps[step])
+        paths.append(path)
+    return paths, parts
 
 
 class TestShardJournals:
-    def test_journals_written_per_shard(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["shards", "jobs"])
+    def test_one_journal_per_campaign(self, tmp_path, engine):
         program = _program()
         journal = str(tmp_path / "c.journal")
-        run_campaign_sharded(program, CONFIG, shards=3, journal_path=journal)
-        files = existing_shard_journals(journal)
-        assert [os.path.basename(path) for path in files] == [
-            "c.journal.shard-000-of-003",
-            "c.journal.shard-001-of-003",
-            "c.journal.shard-002-of-003",
-        ]
+        if engine == "shards":
+            run_campaign_sharded(program, CONFIG, shards=3,
+                                 journal_path=journal)
+        else:
+            run_campaign(program, CONFIG, jobs=3, journal_path=journal)
+        assert glob.glob(journal + ".shard-*") == []
+        load = load_journal(journal, program_digest(program),
+                            config_digest(CONFIG))
+        assert len(load.steps) == 8
 
     @pytest.mark.parametrize("prune", [False, True])
     def test_interrupted_run_resumes_bit_identically(self, tmp_path, prune):
-        """Interrupt simulation: crash-truncate one shard journal's tail,
-        then ``resume`` -- only the lost steps recompute, and the merged
-        report is bit-identical in both prune modes."""
+        """Interrupt simulation: crash-truncate the journal's tail, then
+        ``resume`` -- only the lost steps recompute, and the report is
+        bit-identical in both prune modes."""
         from repro.injection.chaos import truncate_journal_tail
 
         program = _program()
@@ -562,8 +647,7 @@ class TestShardJournals:
         base = run_campaign(program, config)
         journal = str(tmp_path / "c.journal")
         run_campaign_sharded(program, config, shards=3, journal_path=journal)
-        victim = existing_shard_journals(journal)[1]
-        truncate_journal_tail(victim, lines=2, torn_bytes=20)
+        truncate_journal_tail(journal, lines=2, torn_bytes=20)
         with pytest.warns(UserWarning):
             resumed = run_campaign_sharded(program, config, shards=3,
                                            journal_path=journal, resume=True)
@@ -574,7 +658,7 @@ class TestShardJournals:
 
     def test_resume_across_shard_counts(self, tmp_path):
         """Shard count is execution topology, not campaign identity: a
-        4-shard resume accepts 3-shard journals (and a single-process
+        4-shard resume accepts a 3-shard journal (and a single-process
         journal) interchangeably."""
         program = _program()
         base = run_campaign(program, CONFIG)
@@ -595,49 +679,59 @@ class TestShardJournals:
         assert report_fingerprint(resumed) == report_fingerprint(base)
         assert resumed.resilience.resumed_steps == 8
 
-    def test_offline_merge_feeds_plain_resume(self, tmp_path):
+    def test_legacy_shard_journals_feed_plain_resume(self, tmp_path):
+        """A sharded campaign interrupted under the per-shard layout (one
+        shard never written) resumes from the surviving shard journals
+        without re-running their steps, and folds them into the one
+        journal at ``PATH``."""
         program = _program()
         base = run_campaign(program, CONFIG)
         journal = str(tmp_path / "c.journal")
-        run_campaign_sharded(program, CONFIG, shards=3, journal_path=journal)
-        merged = str(tmp_path / "merged.journal")
-        steps, corrupt = merge_journal_files(
-            merged, existing_shard_journals(journal))
-        assert (steps, corrupt) == (8, 0)
-        resumed = run_campaign(program, CONFIG, journal_path=merged,
+        run_campaign(program, CONFIG, journal_path=journal)
+        paths, parts = _write_legacy_shard_journals(program, CONFIG,
+                                                    journal, 3)
+        os.remove(paths[1])
+        survivors = len(parts[0]) + len(parts[2])
+        resumed = run_campaign(program, CONFIG, journal_path=journal,
+                               resume=True)
+        assert report_fingerprint(resumed) == report_fingerprint(base)
+        assert resumed.resilience.resumed_steps == survivors
+        assert resumed.resilience.journaled_steps == 8 - survivors
+        load = load_journal(journal, program_digest(program),
+                            config_digest(CONFIG))
+        assert sorted(load.steps) == sorted(base_step for part in parts
+                                            for base_step in part)
+
+    def test_legacy_shard_journal_of_another_campaign_is_rejected(
+            self, tmp_path):
+        program = _program()
+        journal = str(tmp_path / "c.journal")
+        other = CampaignConfig(max_injection_steps=8, max_sites_per_step=6,
+                               max_values_per_site=2, seed=999)
+        run_campaign(program, other, journal_path=journal)
+        _write_legacy_shard_journals(program, other, journal, 2)
+        with pytest.raises(JournalMismatch, match="different campaign"):
+            run_campaign_sharded(program, CONFIG, shards=2,
+                                 journal_path=journal, resume=True)
+
+    def test_tcp_fleet_writes_one_journal(self, tmp_path):
+        program = _program()
+        base = run_campaign(program, CONFIG)
+        journal = str(tmp_path / "c.journal")
+        procs, addresses = _start_tcp_workers(2)
+        try:
+            sharded = run_campaign_sharded(program, CONFIG, shards=4,
+                                           workers=addresses,
+                                           journal_path=journal)
+        finally:
+            _stop(procs)
+        assert report_fingerprint(sharded) == report_fingerprint(base)
+        assert sharded.resilience.journaled_steps == 8
+        assert glob.glob(journal + ".shard-*") == []
+        resumed = run_campaign(program, CONFIG, journal_path=journal,
                                resume=True)
         assert report_fingerprint(resumed) == report_fingerprint(base)
         assert resumed.resilience.resumed_steps == 8
-
-    def test_merge_rejects_mismatched_campaigns(self, tmp_path):
-        program = _program()
-        journal_a = str(tmp_path / "a.journal")
-        journal_b = str(tmp_path / "b.journal")
-        run_campaign(program, CONFIG, journal_path=journal_a)
-        other = CampaignConfig(max_injection_steps=8, max_sites_per_step=6,
-                               max_values_per_site=2, seed=999)
-        run_campaign(program, other, journal_path=journal_b)
-        with pytest.raises(JournalMismatch, match="different campaign"):
-            merge_journal_files(str(tmp_path / "out.journal"),
-                                [journal_a, journal_b])
-
-    def test_reconstruct_report_from_shard_journals(self, tmp_path):
-        program = _program()
-        base = run_campaign(program, CONFIG)
-        journal = str(tmp_path / "c.journal")
-        run_campaign_sharded(program, CONFIG, shards=3, journal_path=journal)
-        report = reconstruct_report(program, CONFIG,
-                                    existing_shard_journals(journal))
-        assert report_fingerprint(report) == report_fingerprint(base)
-        assert report.latency_buckets == base.latency_buckets
-
-    def test_reconstruct_refuses_partial_coverage(self, tmp_path):
-        program = _program()
-        journal = str(tmp_path / "c.journal")
-        run_campaign_sharded(program, CONFIG, shards=3, journal_path=journal)
-        partial = existing_shard_journals(journal)[:2]
-        with pytest.raises(ValueError, match="missing"):
-            reconstruct_report(program, CONFIG, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +751,10 @@ def service_url():
     finally:
         server.shutdown()
         server.server_close()
+        thread.join(timeout=30)
+        # Leave no scheduler thread behind: later pools in this process
+        # would spawn instead of fork.
+        service.close(timeout=60)
 
 
 def _get(url):
