@@ -374,6 +374,12 @@ class ReferenceRun:
     def num_steps(self) -> int:
         return self.trace.steps
 
+    def tail(self, step_index: int) -> Tuple[Tuple[int, int], ...]:
+        """The fault-free outputs after step ``step_index``: what every
+        MASKED run reproduces, and what the journal's ``"="`` tail
+        sentinel expands to."""
+        return tuple(self.trace.outputs[self.outputs_before[step_index]:])
+
     def state_at(self, step_index: int) -> MachineState:
         """A fresh machine state as it was *before* step ``step_index``.
 
@@ -842,13 +848,6 @@ def _drive(
     reporter = ProgressReporter(len(steps), label="campaign") \
         if progress else None
 
-    def _ref_tail(step_index: int) -> Tuple[Tuple[int, int], ...]:
-        # The fault-free outputs after the injection point: what every
-        # MASKED run reproduces, and what the journal's "=" tail
-        # sentinel expands to.
-        produced = reference.outputs_before[step_index]
-        return tuple(reference.trace.outputs[produced:])
-
     total = len(steps)
     merged = 0
     #: Arrived steps waiting for every earlier step (the reorder buffer).
@@ -864,7 +863,7 @@ def _drive(
                 if raw_outcomes is None:
                     return  # not here yet
                 outcomes = _journal.decode_step(raw_outcomes,
-                                                _ref_tail(step_index))
+                                                reference.tail(step_index))
             _merge_step(report, reference, config, step_index, outcomes,
                         instruments)
             steps_counter.inc()
@@ -897,7 +896,7 @@ def _drive(
         for step_index, outcomes in producer:
             if journal is not None:
                 journal.append_step(step_index, outcomes,
-                                    _ref_tail(step_index))
+                                    reference.tail(step_index))
                 stats.journaled_steps += 1
             arrived[step_index] = outcomes
             _merge_ready()

@@ -244,10 +244,6 @@ def _fleet_steps(
         outstanding -= 1
         ready.append((step_index, outcomes))
 
-    def _ref_tail(step_index: int) -> Tuple[Tuple[int, int], ...]:
-        produced = reference.outputs_before[step_index]
-        return tuple(reference.trace.outputs[produced:])
-
     def _assign(worker: _Worker) -> None:
         """Hand the idle ``worker`` its next work, stealing if needed."""
         if shutting_down or not worker.alive:
@@ -416,8 +412,10 @@ def _fleet_steps(
             kind = message["type"]
             if kind == "step":
                 step_index = message["step"]
+                outcomes = decode_step(message["out"],
+                                       reference.tail(step_index))
                 _complete(shard_states[message["shard"]], step_index,
-                          decode_step(message["out"], _ref_tail(step_index)))
+                          outcomes)
             elif kind == "shard-done":
                 index = message["shard"]
                 shard_states[index].owners.discard(worker.index)

@@ -70,10 +70,6 @@ class _WorkerState:
         self.die_after_steps: Optional[int] = message.get("die_after_steps")
         self.steps_sent = 0
 
-    def ref_tail(self, step_index: int) -> Tuple[Tuple[int, int], ...]:
-        produced = self.reference.outputs_before[step_index]
-        return tuple(self.reference.trace.outputs[produced:])
-
 
 def serve_connection(sock: socket.socket,
                      authkey: Optional[bytes] = None) -> None:
@@ -137,10 +133,10 @@ def serve_connection(sock: socket.socket,
                     outcomes = _run_step(state.program, state.config,
                                          state.reference, state.budget,
                                          step_index)
+                    tail = state.reference.tail(step_index)
                     conn.send({"type": "step", "shard": shard_index,
                                "step": step_index,
-                               "out": encode_step(
-                                   outcomes, state.ref_tail(step_index))})
+                               "out": encode_step(outcomes, tail)})
                     steps_counter.inc()
                     state.steps_sent += 1
                     if state.die_after_steps is not None and \

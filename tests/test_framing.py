@@ -23,7 +23,8 @@ CAMPAIGN_HEADER = (
 CAMPAIGN_STEP = (
     '{"crc":"fe7509f5","d":{"out":[[["R","r1",7],"masked","=",2]],'
     '"step":3}}\n')
-JOB_HEADER = '{"crc":"3747e16b","d":{"magic":"talft-job-journal","version":1}}\n'
+JOB_HEADER = (
+    '{"crc":"3747e16b","d":{"magic":"talft-job-journal","version":1}}\n')
 JOB_SNAPSHOT = (
     '{"crc":"bd12d685","d":{"event":"job","job":{"id":"job-1",'
     '"status":"queued"}}}\n')
