@@ -104,7 +104,10 @@ class CompiledExec:
     closure accounts for.  ``fast`` is the merged dispatch table drivers
     use far from the step-budget horizon: the fused closure where one
     exists, the base closure otherwise -- one dict lookup per dispatch,
-    safe whenever at least ``max_quantum`` steps of budget remain.
+    safe whenever at least ``max_quantum`` steps of budget remain.  Both
+    tables come from :func:`repro.exec.fusion.build_fusion_table`; a
+    generated chain's closure compiles on its first call and then
+    replaces itself in both.
     ``registers`` is every register name any closure touches; drivers
     verify it is a subset of the live register bank before entering
     closures (the interpreter reports unknown registers with a
@@ -122,12 +125,14 @@ class CompiledExec:
         oob_policy: OobPolicy,
         base: Dict[int, Closure],
         fused: Dict[int, Tuple[int, Closure]],
+        fast: Dict[int, Closure],
         registers: FrozenSet[str],
     ):
         self.code = code
         self.oob_policy = oob_policy
         self.base = base
         self.fused = fused
+        self.fast = fast
         self.registers = registers
         self.size = len(base)
         #: Addresses with a superinstruction entry.
@@ -136,19 +141,9 @@ class CompiledExec:
         self.fused_instructions = sum(
             consumed // 2 for consumed, _ in fused.values()
         )
-        fast: Dict[int, Closure] = {}
-        max_quantum = 2
-        for address, closure in base.items():
-            entry = fused.get(address)
-            if entry is None:
-                fast[address] = closure
-            else:
-                fast[address] = entry[1]
-                if entry[0] > max_quantum:
-                    max_quantum = entry[0]
-        self.fast = fast
         #: The most small steps any single ``fast`` dispatch can consume.
-        self.max_quantum = max_quantum
+        self.max_quantum = max(
+            (consumed for consumed, _ in fused.values()), default=2)
 
     def supports(self, state: MachineState) -> bool:
         """Can this compilation drive ``state``?  (Register bank must cover
@@ -654,11 +649,11 @@ def compile_program(
                     # invariant fused chains rely on.
                     effects[address] = (run_fn, rule)
             registers.update(used)
-        fused = build_fusion_table(code, base, effects, oob_policy)
+        fused, fast = build_fusion_table(code, base, effects, oob_policy)
     except CompilationUnsupported:
         registry.counter("exec_compile_unsupported_total").inc()
         raise
-    compiled = CompiledExec(code, oob_policy, base, fused,
+    compiled = CompiledExec(code, oob_policy, base, fused, fast,
                             frozenset(registers))
     elapsed = _perf_counter() - started
     registry.histogram("exec_compile_seconds").observe(elapsed)

@@ -6,8 +6,19 @@ control transfer is a two-phase announce/commit pair (``jmpG``/``jmpB``,
 ``bzG``/``bzB``).  Executing such code one instruction at a time pays the
 driver's dispatch overhead (program-counter read, equality check, table
 lookup) twice per logical operation.  Fusion eliminates that: at every code
-address this module tries to build a *superinstruction* closure covering a
-maximal run of consecutive instructions, executed in one driver dispatch.
+address this module plans a *superinstruction* covering a maximal run of
+consecutive instructions, executed in one driver dispatch.
+
+Planning is eager and compilation is lazy.  The structural walk runs at
+every address when the program is compiled, so each fused entry's
+``consumed`` step count (and with it the drivers' budget checks,
+``max_quantum`` and the fusion statistics) is fixed up front, and the
+chain's Python source is assembled there too.  Python's ``compile()`` of
+that source -- about 90% of the cost of fusing a program -- waits for the
+chain's first dispatch (:class:`LazyChain`), which then replaces its own
+slot in both dispatch tables with the compiled function.  Most planned
+chains never run: a fault-free pass over one of the 17 kernels dispatches
+11-16% of its FT build's chains and 19-33% of its baseline build's.
 
 A fused chain is ``interior* tail?``:
 
@@ -45,7 +56,9 @@ lands between the *original* small steps, exactly as under ``step()``.
 
 Every fused entry coexists with the per-instruction ``base`` entries for
 the same addresses, so control may enter a chain in the middle (e.g. after
-a zap redirects ``pcG``) and still execute correctly.
+a zap redirects ``pcG``) and still execute correctly.  Which entries have
+been compiled so far therefore never shows: a compiled chain and its lazy
+entry run the same source.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ from repro.core.instructions import (
 )
 from repro.core.registers import DEST, PC_B, PC_G
 from repro.core.semantics import _RESULTS as _STEP_RESULTS
+from repro.observe import get_registry
 
 _new_cv = tuple.__new__
 _CV = ColoredValue
@@ -672,14 +686,15 @@ def _gen_tail(instr: Instruction, follower: Optional[Instruction],
 def _codegen_chain(interiors: List[Instruction], prefix: Tuple[str, ...],
                    tail_instr: Optional[Instruction],
                    tail_follower: Optional[Instruction],
-                   oob_policy) -> Optional[Tuple[int, object]]:
-    """Generate one Python function for a whole chain via ``exec``.
+                   oob_policy) -> Optional[Tuple[int, str, Dict[str, object]]]:
+    """Generate the source of one Python function for a whole chain.
 
     The interiors become straight-line source (no per-instruction call
     overhead), both program counters are bumped once by ``len(interiors)``,
     and the tail -- any single instruction, or an announce/commit pair --
     is inlined behind it with fully-constant return tuples.  Returns
-    ``(total_instructions, closure)``, or ``None`` when the tail has no
+    ``(total_instructions, source, env)``, where ``source`` defines
+    ``_chain`` over the globals ``env``, or ``None`` when the tail has no
     template (the caller then falls back to the effect-closure chain).
     """
     env: Dict[str, object] = {"_cv": _new_cv, "_CV": _CV, "_G": _GREEN,
@@ -724,8 +739,42 @@ def _codegen_chain(interiors: List[Instruction], prefix: Tuple[str, ...],
                                body, prefix)
         if tail_count == 0:
             return None
-    exec(compile("\n".join(body), "<fused-chain>", "exec"), env)
-    return count + tail_count, env["_chain"]
+    return count + tail_count, "\n".join(body), env
+
+
+class LazyChain:
+    """A generated chain's fused entry until its first dispatch.
+
+    Calling it compiles the chain, installs the compiled function in its
+    own slots of ``fused`` and ``fast`` (so later dispatches call the
+    function directly) and runs it.  Threads sharing one cached program
+    take no lock here: two racing first calls both compile, and each
+    installs an equivalent function with single dict stores.
+    """
+
+    __slots__ = ("address", "consumed", "source", "env", "fused", "fast")
+
+    def __init__(self, address: int, consumed: int, source: str,
+                 env: Dict[str, object], fused: Dict, fast: Dict):
+        self.address = address
+        self.consumed = consumed
+        self.source = source
+        self.env = env
+        self.fused = fused
+        self.fast = fast
+
+    def install(self):
+        """Compile the chain, install it in both tables and return it."""
+        namespace = dict(self.env)  # racing installs share no namespace
+        exec(compile(self.source, "<fused-chain>", "exec"), namespace)
+        chain = namespace["_chain"]
+        self.fused[self.address] = (self.consumed, chain)
+        self.fast[self.address] = chain
+        get_registry().counter("exec_fused_chains_compiled_total").inc()
+        return chain
+
+    def __call__(self, state, regs, emit, rand):
+        return self.install()(state, regs, emit, rand)
 
 
 def _make_chain(effects, prefix: Tuple[str, ...], tail):
@@ -802,10 +851,17 @@ def build_fusion_table(
     base: Dict[int, object],
     effects: Dict[int, Tuple[object, str]],
     oob_policy,
-) -> Dict[int, Tuple[int, object]]:
-    """``address -> (consumed_steps, fused_closure)`` for every address
-    where at least two consecutive instructions can run as one dispatch."""
+) -> Tuple[Dict[int, Tuple[int, object]], Dict[int, object]]:
+    """The ``(fused, fast)`` dispatch tables.
+
+    ``fused`` maps ``address -> (consumed_steps, entry)`` for every
+    address where at least two consecutive instructions can run as one
+    dispatch; ``fast`` is ``base`` with those entries laid over it.  A
+    generated chain's entry is a :class:`LazyChain` that replaces itself
+    in both tables on its first call.
+    """
     fused: Dict[int, Tuple[int, object]] = {}
+    fast: Dict[int, object] = dict(base)
     for address in code:
         chain_effects: List[object] = []
         chain_instrs: List[Instruction] = []
@@ -839,9 +895,12 @@ def build_fusion_table(
             generated = _codegen_chain(chain_instrs, prefix, tail_instr,
                                        follower, oob_policy)
         if generated is not None:
-            total, closure = generated
+            total, source, env = generated
             if total >= 2:
-                fused[address] = (2 * total, closure)
+                entry = LazyChain(address, 2 * total, source, env, fused,
+                                  fast)
+                fused[address] = (2 * total, entry)
+                fast[address] = entry
             continue
 
         # Fallback: compose the per-instruction effect closures (which bump
@@ -865,5 +924,7 @@ def build_fusion_table(
         total = len(chain_effects) + tail_count
         if total < 2:
             continue
-        fused[address] = (2 * total, _make_chain(chain_effects, prefix, tail))
-    return fused
+        entry = _make_chain(chain_effects, prefix, tail)
+        fused[address] = (2 * total, entry)
+        fast[address] = entry
+    return fused, fast

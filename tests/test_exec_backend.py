@@ -6,12 +6,16 @@ step count, rule-name sequence, final register bank, store-queue contents,
 memory, machine status and pending instruction register.  The sweeps cover
 the places fusion could plausibly diverge -- faults landing between the
 halves of a fused pair, step budgets that split chains mid-way, the RANDOM
-out-of-bounds policy, and multi-fault schedules.
+out-of-bounds policy, and multi-fault schedules.  Fused chains compile on
+their first dispatch, so the sweeps start from a cold cache, and threads
+race on those first dispatches.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -21,11 +25,14 @@ from repro.core.semantics import KNOWN_RULES, OobPolicy
 from repro.core.tracing import trace_execution
 from repro.exec import (
     clear_exec_caches,
+    compile_program,
     compiled_for,
     exec_cache_stats,
+    get_compiled,
     run_compiled,
     trace_events_compiled,
 )
+from repro.exec.fusion import LazyChain
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.multifault import run_multifault_campaign
 from repro.workloads import ALL_KERNELS, compile_kernel
@@ -44,22 +51,30 @@ def _snapshot(state):
             dict(state.memory), state.status, state.ir)
 
 
+def _observe(program, backend, *, fault=None, at=0, faults=None,
+             max_steps=3000, budget=1, policy=OobPolicy.TRAP):
+    """Run on one backend; return everything observable."""
+    state = program.boot()
+    machine = Machine(state, oob_policy=policy, record_rules=True,
+                      fault_budget=budget, backend=backend)
+    try:
+        trace = machine.run(max_steps=max_steps, fault=fault,
+                            fault_at_step=at, faults=faults)
+        observed = (trace.outcome, tuple(trace.outputs), trace.steps,
+                    tuple(trace.rules))
+    except Exception as exc:  # must raise identically on both backends
+        observed = ("raised", type(exc).__name__, str(exc))
+    return observed, _snapshot(state)
+
+
 def _run_both(program, *, fault=None, at=0, faults=None, max_steps=3000,
               budget=1, policy=OobPolicy.TRAP):
     """Run under both backends; return the (identical) observables."""
-    results = []
-    for backend in ("step", "compiled"):
-        state = program.boot()
-        machine = Machine(state, oob_policy=policy, record_rules=True,
-                          fault_budget=budget, backend=backend)
-        try:
-            trace = machine.run(max_steps=max_steps, fault=fault,
-                                fault_at_step=at, faults=faults)
-            observed = (trace.outcome, tuple(trace.outputs), trace.steps,
-                        tuple(trace.rules))
-        except Exception as exc:  # must raise identically on both backends
-            observed = ("raised", type(exc).__name__, str(exc))
-        results.append((observed, _snapshot(state)))
+    results = [
+        _observe(program, backend, fault=fault, at=at, faults=faults,
+                 max_steps=max_steps, budget=budget, policy=policy)
+        for backend in ("step", "compiled")
+    ]
     assert results[0] == results[1], (fault, at, faults, max_steps)
     return results[0]
 
@@ -104,8 +119,11 @@ def test_exhaustive_zap_sweep():
 
     This is the case fusion must not get wrong: the injection lands at
     exact small-step granularity, including *between* the two halves of
-    what the compiled backend fuses into one dispatch.
+    what the compiled backend fuses into one dispatch.  Starting cold,
+    chains also compile on first dispatches from the fast loop, the
+    careful loop and mid-chain entries after a ``pcG`` zap.
     """
+    clear_exec_caches()
     program = _program()
     registers = sorted(program.boot().regs._regs)
     cases = 0
@@ -122,7 +140,11 @@ def test_exhaustive_zap_sweep():
 
 
 def test_step_budget_parity():
-    """Budgets that split fused chains mid-way, incl. mid-instruction."""
+    """Budgets that split fused chains mid-way, incl. mid-instruction.
+
+    Starts cold, so chains first compile from the careful loop at budget
+    splits."""
+    clear_exec_caches()
     program = _program()
     for max_steps in (0, 1, 2, 3, 5, 17, 33, 101):
         _run_both(program, max_steps=max_steps)
@@ -213,3 +235,68 @@ def test_program_cache_shared():
         Machine(state, backend="compiled").run(max_steps=10_000)
     stats = exec_cache_stats()
     assert stats["programs"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Lazy chain compilation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ("ft", "baseline", "swift"))
+def test_every_planned_chain_compiles(mode):
+    """Compile every planned chain of every kernel, not only those a run
+    dispatches: a template emitting invalid Python would otherwise fail
+    only at a rarely dispatched address."""
+    cases = [(name, OobPolicy.TRAP) for name in ALL_KERNELS]
+    cases.append(("vpr", OobPolicy.RANDOM))
+    for name, policy in cases:
+        compiled = compile_program(_program(name, mode).code, policy)
+        for address, (consumed, entry) in list(compiled.fused.items()):
+            if isinstance(entry, LazyChain):
+                chain = entry.install()
+                assert compiled.fused[address] == (consumed, chain)
+                assert compiled.fast[address] is chain
+
+
+def test_racing_first_dispatches_match_interpreter():
+    """Threads sharing one cold compilation race on chains' first
+    dispatches (no lock guards them); every thread must still observe
+    exactly what the interpreter does for its own fault."""
+    program = _program()
+    registers = sorted(program.boot().regs._regs)
+    cases = [(11, RegZap("pcG", 7))] + [
+        (4 + 8 * index, RegZap(registers[(3 * index) % len(registers)], 999))
+        for index in range(7)
+    ]
+    expected = [_observe(program, "step", fault=fault, at=at)
+                for at, fault in cases]
+    clear_exec_caches()
+    compiled = compiled_for(program.boot())
+    assert all(isinstance(entry, LazyChain)
+               for _, entry in compiled.fused.values())
+    barrier = threading.Barrier(len(cases))
+    observed = [None] * len(cases)
+
+    def run(index):
+        at, fault = cases[index]
+        barrier.wait(timeout=60)
+        observed[index] = _observe(program, "compiled", fault=fault, at=at)
+
+    threads = [threading.Thread(target=run, args=(index,))
+               for index in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert observed == expected
+    assert get_compiled(program.code) is compiled
+    # Every install writes both tables, so they agree on what is compiled.
+    for address, (_, entry) in compiled.fused.items():
+        assert isinstance(entry, LazyChain) == \
+            isinstance(compiled.fast[address], LazyChain)

@@ -28,6 +28,10 @@ from repro.simulator import (
 )
 from repro.simulator.deps import kind_of, reads_of, writes_of
 from repro.compiler import compile_source
+from repro.exec import clear_exec_caches, get_compiled
+from repro.exec.fusion import LazyChain
+from repro.observe import MetricsRegistry, set_registry
+from repro.workloads import ALL_KERNELS, compile_kernel
 
 G, B = Color.GREEN, Color.BLUE
 
@@ -206,6 +210,37 @@ class TestRunner:
         a = simulate(compiled, DEFAULT_CONFIG, path=path)
         b = simulate(compiled, DEFAULT_CONFIG)
         assert a.cycles == b.cycles
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_block_path_backend_parity_from_cold_cache(self, name):
+        """The compiled functional pass records the interpreter's block
+        path, with every fused chain compiling on its first dispatch."""
+        for mode in ("ft", "baseline"):
+            compiled = compile_kernel(name, mode)
+            clear_exec_caches()
+            assert record_block_path(compiled, backend="step") == \
+                record_block_path(compiled, backend="compiled"), mode
+
+    def test_block_path_compiles_only_dispatched_chains(self):
+        """Compiling a program compiles no chain; a fault-free pass then
+        compiles each chain it dispatches once, and not every chain."""
+        compiled = compile_kernel("vpr", "ft")
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            clear_exec_caches()
+            compiled_exec = get_compiled(compiled.program.code)
+            chains = registry.counter("exec_fused_chains_compiled_total")
+            assert chains.value == 0
+            record_block_path(compiled)
+        finally:
+            set_registry(previous)
+        pending = sum(isinstance(entry, LazyChain)
+                      for _, entry in compiled_exec.fused.values())
+        assert 0 < chains.value < compiled_exec.fused_sites
+        # Every vpr chain is generated, so each fused site is either
+        # still pending or was compiled exactly once.
+        assert pending == compiled_exec.fused_sites - chains.value
 
 
 class TestStallAccounting:
