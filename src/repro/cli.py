@@ -366,24 +366,16 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"error: --authkey-file {error}", file=sys.stderr)
         return 2
-    if args.connect:
-        try:
-            address = parse_address(args.connect)
-        except ValueError as error:
-            print(f"error: --connect {error}", file=sys.stderr)
-            return 2
-        worker.run_connect(address, authkey=authkey)
-    else:
-        try:
-            host, port = parse_address(args.listen, allow_zero=True)
-        except ValueError as error:
-            print(f"error: --listen {error}", file=sys.stderr)
-            return 2
-        try:
-            worker.run_listen(host, port, once=args.once, authkey=authkey)
-        except ValueError as error:
-            print(f"error: --listen {error}", file=sys.stderr)
-            return 2
+    try:
+        host, port = parse_address(args.listen, allow_zero=True)
+    except ValueError as error:
+        print(f"error: --listen {error}", file=sys.stderr)
+        return 2
+    try:
+        worker.run_listen(host, port, once=args.once, authkey=authkey)
+    except ValueError as error:
+        print(f"error: --listen {error}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -669,17 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one shard-campaign worker process (see 'campaign "
              "--shards')",
     )
-    fleet_mode = shard_worker.add_mutually_exclusive_group(required=True)
-    fleet_mode.add_argument("--connect", metavar="HOST:PORT",
-                            help="dial a waiting coordinator, serve it, "
-                                 "exit")
-    fleet_mode.add_argument("--listen", metavar="[HOST:]PORT",
-                            help="accept coordinators on this address "
-                                 "(port 0 binds an ephemeral port and "
-                                 "prints it)")
+    shard_worker.add_argument("--listen", metavar="[HOST:]PORT",
+                              required=True,
+                              help="accept coordinators on this address "
+                                   "(port 0 binds an ephemeral port and "
+                                   "prints it)")
     shard_worker.add_argument("--once", action="store_true",
-                              help="with --listen: exit after serving the "
-                                   "first coordinator connection")
+                              help="exit after serving the first "
+                                   "coordinator connection")
     shard_worker.add_argument("--authkey-file", metavar="PATH",
                               help="file holding the shared fleet auth key "
                                    "(default: the TALFT_SHARD_AUTHKEY "

@@ -114,7 +114,11 @@ class RegisterFile:
         return iter(self._regs)
 
     def clone(self) -> "RegisterFile":
-        return RegisterFile(self._regs)
+        # The names were validated when this bank was built; re-checking
+        # them on every checkpoint and injection clone is pure cost.
+        clone = RegisterFile.__new__(RegisterFile)
+        clone._regs = dict(self._regs)
+        return clone
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RegisterFile) and self._regs == other._regs

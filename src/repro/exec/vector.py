@@ -41,10 +41,11 @@ none and materializes fallback states with the per-register colors of the
 injection-time base state.  ``reg-zap`` preserves colors, so this is
 exact at the injection step and observationally irrelevant afterwards.
 
-The per-program artifact (:class:`Schedule`: the reference instruction
-sequence, decoded into register-row-indexed specs) is cached through
-:func:`repro.exec.cache.get_aux` under the program fingerprint, so each
-worker process builds it once.
+The reference instruction sequence comes from the campaign's own
+reference run, which records it while it executes
+(:class:`repro.injection.campaign.Recording`); :func:`schedule_for`
+decodes it into register-row-indexed specs (:class:`Schedule`) once per
+reference run.  This module never replays the fault-free run.
 
 numpy is optional at import time (:func:`vector_available`); campaigns
 downgrade ``backend="vector"`` gracefully when it is absent.
@@ -60,7 +61,6 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
     np = None  # type: ignore[assignment]
 
 from repro.core.colors import Color, ColoredValue
-from repro.core.errors import MachineStuck, ReproError
 from repro.core.instructions import (
     ArithRRI,
     ArithRRR,
@@ -77,9 +77,7 @@ from repro.core.instructions import (
     Store,
 )
 from repro.core.registers import DEST, PC_B, PC_G
-from repro.core.semantics import OobPolicy, step as _semantics_step
 from repro.core.state import MachineState, RegisterFile, Status, StoreQueue
-from repro.exec.cache import code_fingerprint, get_aux
 
 
 def vector_available() -> bool:
@@ -201,7 +199,7 @@ FALLBACK_REASONS = {
 
 
 class Schedule:
-    """The reference run, decoded for lockstep execution.
+    """The reference run's recording, decoded for lockstep execution.
 
     One entry per executed instruction: the fetch address, the decoded
     spec (register names resolved to array row indices) and the original
@@ -212,10 +210,10 @@ class Schedule:
     """
 
     __slots__ = ("reg_names", "reg_index", "pcs", "specs", "instrs",
-                 "commit_addrs", "steps", "observable_min")
+                 "commit_addrs", "steps")
 
     def __init__(self, reg_names, reg_index, pcs, specs, instrs,
-                 commit_addrs, steps, observable_min):
+                 commit_addrs, steps):
         self.reg_names = reg_names
         self.reg_index = reg_index
         self.pcs = pcs
@@ -223,7 +221,6 @@ class Schedule:
         self.instrs = instrs
         self.commit_addrs = commit_addrs
         self.steps = steps
-        self.observable_min = observable_min
 
 
 def _decode(instr: Instruction, reg_index: Dict[str, int]):
@@ -292,96 +289,33 @@ def _decode(instr: Instruction, reg_index: Dict[str, int]):
     return None
 
 
-def _build_schedule(
-    boot: MachineState,
-    oob_policy: OobPolicy,
-    expected_steps: int,
-) -> Optional[Schedule]:
-    """Replay the fault-free run, recording the decoded instruction
-    sequence.  Returns ``None`` when the program is not vectorizable
-    (unknown instruction shape, oversized immediate, non-halting run)."""
-    state = boot.clone()
-    if state.ir is not None or state.status is not Status.RUNNING:
+def schedule_for(reference) -> Optional[Schedule]:
+    """The :class:`Schedule` view of the reference run's recording
+    (:class:`repro.injection.campaign.Recording`), or ``None`` when the
+    run was not recorded whole or executes an instruction :func:`_decode`
+    rejects.  Specs are decoded once per address, and the view is kept
+    with the recording, so it lives and dies with its reference run."""
+    recording = reference.recording
+    if np is None or recording is None:
         return None
-    reg_names = tuple(state.regs._regs)
-    reg_index = {name: row for row, name in enumerate(reg_names)}
-    pcs: List[int] = []
-    specs: List[tuple] = []
-    instrs: List[Instruction] = []
-    commit_addrs = set()
-    steps = 0
-    while steps < expected_steps and state.status is Status.RUNNING:
-        pc = state.regs._regs[PC_G][1]
-        try:
-            _semantics_step(state, oob_policy)  # fetch
-        except (MachineStuck, ReproError):
-            return None
-        steps += 1
-        instr = state.ir
-        if instr is None:  # fetch-fail: the reference faulted
-            return None
+    views = recording.views
+    if "vector" not in views:
+        views["vector"] = _schedule(recording)
+    return views["vector"]
+
+
+def _schedule(recording) -> Optional[Schedule]:
+    reg_index = {name: row for row, name in enumerate(recording.reg_names)}
+    decoded = {}
+    for pc, instr in dict(zip(recording.pcs, recording.instrs)).items():
         spec = _decode(instr, reg_index)
         if spec is None:
             return None
-        # Commit addresses are captured pre-execute: a blue store commits
-        # the pair at the back of the queue, a plain store the address in
-        # its rd register.
-        if spec[0] == K_STB:
-            if len(state.queue):
-                commit_addrs.add(state.queue.back()[0])
-        elif spec[0] == K_PST:
-            commit_addrs.add(state.regs._regs[instr.rd][1])
-        pcs.append(pc)
-        specs.append(spec)
-        instrs.append(instr)
-        if steps >= expected_steps:
-            return None  # reference cannot end between fetch and execute
-        try:
-            _semantics_step(state, oob_policy)  # execute
-        except (MachineStuck, ReproError):
-            return None
-        steps += 1
-    if steps != expected_steps or state.status is not Status.HALTED:
-        return None
-    return Schedule(reg_names, reg_index, pcs, specs, instrs,
-                    frozenset(commit_addrs), steps, state.observable_min)
-
-
-#: Negative-cache marker (``get_aux`` treats ``None`` as a miss).
-_UNSUPPORTED = object()
-
-
-def schedule_for(
-    boot: MachineState,
-    oob_policy: OobPolicy,
-    expected_steps: int,
-) -> Optional[Schedule]:
-    """The cached :class:`Schedule` for ``boot``'s program, or ``None``.
-
-    Keyed by program fingerprint plus the boot-state observables that
-    determine the reference run (register payloads, memory, queue,
-    observability threshold); the step count is determined by those, so
-    it stays out of the key.
-    """
-    if np is None:
-        return None
-    try:
-        signature = (
-            tuple(cv[1] for cv in boot.regs._regs.values()),
-            tuple(sorted(boot.memory.items())),
-            boot.queue.pairs(),
-            boot.observable_min,
-        )
-        key = (code_fingerprint(boot.code), oob_policy, "vector-schedule",
-               signature)
-    except TypeError:  # unhashable exotic state: just decline
-        return None
-    built = get_aux(
-        key,
-        lambda: _build_schedule(boot, oob_policy, expected_steps)
-        or _UNSUPPORTED,
-    )
-    return None if built is _UNSUPPORTED else built
+        decoded[pc] = spec
+    return Schedule(recording.reg_names, reg_index, recording.pcs,
+                    list(map(decoded.__getitem__, recording.pcs)),
+                    recording.instrs, recording.commit_addrs,
+                    recording.steps)
 
 
 # ---------------------------------------------------------------------------

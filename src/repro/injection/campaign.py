@@ -23,18 +23,21 @@ checkpoints + deterministic replay** (:class:`ReferenceRun`): a full state
 clone every ``checkpoint_interval`` steps instead of before *every* step,
 with any injection point reconstructed by replaying at most
 ``checkpoint_interval - 1`` deterministic steps from the nearest
-checkpoint.  Each injection step is processed independently with an RNG
-derived from ``(seed, step_index)``, which makes the work embarrassingly
-parallel: ``run_campaign(..., jobs=N)`` partitions the injection steps
-across a supervised process pool (:mod:`repro.injection.resilience`) and
-merges the per-step results in step order, producing a report
-bit-identical to the serial engine's.
+checkpoint.  The same walk records, per executed instruction, what the
+pruner and the vector engine need (:class:`Recording`), so no other
+layer replays the fault-free run.  Each injection step is processed
+independently with an RNG derived from ``(seed, step_index)``, which
+makes the work embarrassingly parallel: ``run_campaign(..., jobs=N)``
+partitions the injection steps across a supervised process pool
+(:mod:`repro.injection.resilience`) and merges the per-step results in
+step order, producing a report bit-identical to the serial engine's.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from array import array
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
@@ -44,9 +47,24 @@ if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycles)
     from repro.injection.chaos import ChaosSpec
     from repro.injection.resilience import ResilienceConfig, ResilienceStats
 
+from repro.core.colors import Color
 from repro.core.faults import Fault, apply_fault, fault_sites, is_effective
+from repro.core.instructions import (
+    ArithRRI,
+    ArithRRR,
+    Bz,
+    Halt,
+    Jmp,
+    Load,
+    Mov,
+    PlainBz,
+    PlainJmp,
+    PlainLoad,
+    PlainStore,
+    Store,
+)
 from repro.core.machine import Machine, Outcome, Trace
-from repro.core.registers import PC_B, PC_G
+from repro.core.registers import DEST, PC_B, PC_G
 from repro.core.semantics import OobPolicy, step as _semantics_step
 from repro.core.state import MachineState, Status
 from repro.exec import (
@@ -347,7 +365,7 @@ class ReferenceRun:
     """
 
     __slots__ = ("trace", "outputs_before", "checkpoints", "interval",
-                 "oob_policy", "compiled")
+                 "oob_policy", "compiled", "recording")
 
     def __init__(
         self,
@@ -357,6 +375,7 @@ class ReferenceRun:
         interval: int,
         oob_policy: OobPolicy,
         compiled: Optional[CompiledExec] = None,
+        recording: Optional["Recording"] = None,
     ):
         self.trace = trace
         #: Per step, the number of outputs emitted before it (needed to
@@ -369,16 +388,25 @@ class ReferenceRun:
         #: the compiled backend (never pickled -- each worker process
         #: rebuilds its reference, compilation included).
         self.compiled = compiled
+        #: What the walk recorded per executed instruction, or ``None``
+        #: when the run did not halt or booted mid-instruction.
+        self.recording = recording
 
     @property
     def num_steps(self) -> int:
         return self.trace.steps
 
-    def tail(self, step_index: int) -> Tuple[Tuple[int, int], ...]:
+    def tail(self, step_index: int,
+             stop: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
         """The fault-free outputs after step ``step_index``: what every
         MASKED run reproduces, and what the journal's ``"="`` tail
-        sentinel expands to."""
-        return tuple(self.trace.outputs[self.outputs_before[step_index]:])
+        sentinel expands to.  With ``stop``, only those emitted before
+        step ``stop``: the output of a run that tracked the reference
+        until it was detected (or handed to another engine) there."""
+        outputs = self.trace.outputs
+        end = len(outputs) if stop is None or stop >= self.trace.steps \
+            else self.outputs_before[stop]
+        return tuple(outputs[self.outputs_before[step_index]:end])
 
     def state_at(self, step_index: int) -> MachineState:
         """A fresh machine state as it was *before* step ``step_index``.
@@ -398,8 +426,304 @@ class ReferenceRun:
         return state
 
 
+class SettleRules:
+    """How a run faulted before step ``step_index`` ends when it provably
+    tracks the reference: detected at step ``t`` after emitting exactly
+    the reference outputs before ``t`` (:meth:`detected`), or at the
+    reference's ``halt`` with the whole reference tail (``masked``; an
+    error port can still reclassify it).  The pruner predicts class
+    outcomes by these rules and the vector engine settles lanes by them.
+    """
+
+    __slots__ = ("_reference", "_step", "_tails", "full_tail", "masked")
+
+    def __init__(self, reference: ReferenceRun, step_index: int,
+                 error_port: Optional[int]):
+        self._reference = reference
+        self._step = step_index
+        self._tails: Dict[int, tuple] = {}  # one shared tuple per step
+        self.full_tail = reference.tail(step_index)
+        steps = reference.num_steps - step_index
+        result = FaultResult.MASKED
+        if error_port is not None:
+            # A trailing error-port write can reclassify even an exact run.
+            result = classify_tail(
+                Trace(Outcome.HALTED, list(self.full_tail), steps),
+                reference.trace, reference.outputs_before[step_index],
+                error_port)
+        self.masked = (result, self.full_tail, steps)
+
+    def detected(self, t: int) -> Tuple[FaultResult, tuple, int]:
+        """A check fires at step ``t``: DETECTED with or without an error
+        port (the port convention only reinterprets HALTED runs)."""
+        tail = self._tails.get(t)
+        if tail is None:
+            tail = self._tails[t] = self._reference.tail(self._step, t)
+        return (FaultResult.DETECTED, tail, t - self._step + 1)
+
+
+# ---------------------------------------------------------------------------
+# The reference recording
+# ---------------------------------------------------------------------------
+
+#: Register event kinds of the pruner's def-use walk
+#: (:mod:`repro.injection.prune`), in increasing "gives up more" order.
+#: READ: the corrupt magnitude flows into data/control -- unclassified.
+#: CHECK: a TAL_FT check that detects any corrupt != reference value.
+#: WRITE: the location is overwritten with a reference value -- the
+#: corruption dies.
+#: LOADADDR: the corrupt value is used as a load address (classifiable
+#: when it cannot alias any address the run ever maps).
+#: SPAWN_*: a green store / green jump copies the corruption into a new
+#: location (a store-queue pair, the destination register) while the
+#: source stays live.
+(EV_READ, EV_CHECK, EV_WRITE, EV_LOADADDR,
+ EV_SPAWN_DEST, EV_SPAWN_ADDR, EV_SPAWN_VAL, EV_SPAWN_BOTH) = range(8)
+
+#: A recorded register event is one int, ``step << EV_BITS | kind``.
+EV_BITS = 3
+
+#: Store-queue event kinds (one per queue-touching instruction).
+QE_PUSH, QE_POP, QE_SCAN = range(3)
+
+#: What the walk reads from the live state at an instruction, beyond its
+#: static first-touch events.
+(_LIVE_NONE, _LIVE_BRANCH, _LIVE_LOAD_GREEN, _LIVE_STORE_GREEN,
+ _LIVE_STORE_BLUE, _LIVE_STORE_PLAIN, _LIVE_UNMODELED) = range(7)
+
+
+class Recording:
+    """What the fault-free walk recorded, one entry per executed
+    instruction, for the pruner and the vector engine.
+
+    ``pcs[i]`` and ``instrs[i]`` are the fetch address and instruction of
+    the ``i``-th instruction, whose execute step is ``2 * i + 1``.
+    ``reg_events[name]`` holds, in step order, the first semantic touch
+    (``EV_*``) of that register at each execute step that touches it,
+    each packed as ``step << EV_BITS | kind`` into an int64 array (no
+    object per event).  ``queue_steps``/``queue_events`` record every
+    queue-touching instruction in order (``QE_*``).  ``universe`` is
+    every address that can ever be mapped (boot memory and queue, plus
+    every green/plain store address): a corrupt load address outside it
+    is guaranteed out-of-bounds.  ``commit_addrs`` is every address the
+    run commits to memory.  ``prunable`` is false when the run executed
+    something the pruner does not model.  ``views`` holds what consumers
+    derive from the recording (the vector engine's decoded schedule);
+    they live and die with it.
+    """
+
+    __slots__ = ("reg_names", "pcs", "instrs", "reg_events", "queue_steps",
+                 "queue_events", "universe", "commit_addrs", "steps",
+                 "prunable", "views")
+
+    def __init__(self, boot: MachineState):
+        self.reg_names = tuple(boot.regs._regs)
+        self.pcs: List[int] = []
+        self.instrs: List = []
+        self.reg_events: Dict[str, array] = {}
+        self.queue_steps: List[int] = []
+        self.queue_events: List[tuple] = []
+        self.universe = set(boot.memory)
+        self.universe.update(address for address, _ in boot.queue.pairs())
+        self.commit_addrs = set()
+        self.steps = 0
+        self.prunable = True
+        self.views: Dict[str, object] = {}
+
+    def pins(self, base: MachineState, step_index: int) -> bool:
+        """Does ``base`` sit exactly where the recording puts the state
+        before step ``step_index``?  Always true for states from
+        :meth:`ReferenceRun.state_at`; consumers decline on anything
+        else rather than guess."""
+        index = step_index // 2
+        if tuple(base.regs._regs) != self.reg_names \
+                or not 0 <= index < len(self.pcs):
+            return False
+        regs = base.regs._regs
+        pc = self.pcs[index]
+        if regs[PC_G][1] != pc or regs[PC_B][1] != pc:
+            return False
+        if step_index % 2:
+            return base.ir == self.instrs[index]
+        return base.ir is None
+
+    def _template(self, instr) -> tuple:
+        """``instr``'s recording template: ``(live, events, taken_events,
+        reg)``.  First touches depend only on register names, so each
+        event is bound once to its register's array; ``live`` says what
+        must be read at run time (``reg`` holds the register it reads),
+        and a branch the reference takes records ``taken_events``
+        instead of ``events``."""
+        live, touches, taken, reg = _touches(instr)
+        if reg is not None and reg not in self.reg_names:
+            # The reference itself fails on the unknown register; the
+            # walk must not fail first.
+            live, touches, taken = _LIVE_UNMODELED, [], None
+        return (live, self._bind(touches),
+                self._bind(taken) if taken is not None else None, reg)
+
+    def _bind(self, touches) -> tuple:
+        seen = set()
+        bound = []
+        for name, kind in touches:
+            if name in seen:
+                continue  # the first touch within an instruction wins
+            seen.add(name)
+            events = self.reg_events.setdefault(name, array("q"))
+            bound.append((events.append, kind))
+        return tuple(bound)
+
+    def recorder(self, state: MachineState):
+        """The walk's per-instruction hook: ``record(pc, t)`` records the
+        instruction at ``pc`` whose execute step is ``t``.  It is called
+        after the fetch (or just before a closure runs fetch and execute
+        together); a fetch changes only ``ir``, so everything read here
+        is what the execute step sees."""
+        regs = state.regs._regs
+        code = state.code
+        queue = state.queue._pairs
+        templates: Dict[int, tuple] = {}
+        pcs_append = self.pcs.append
+        queue_steps_append = self.queue_steps.append
+        queue_events_append = self.queue_events.append
+        universe_add = self.universe.add
+        commit_add = self.commit_addrs.add
+        push = (QE_PUSH,)
+
+        def record(pc: int, t: int) -> None:
+            template = templates.get(pc)
+            if template is None:
+                template = templates[pc] = self._template(code[pc])
+            live, events, taken, reg = template
+            pcs_append(pc)
+            if live:
+                if live == _LIVE_BRANCH:
+                    if regs[reg][1] == 0:  # the reference takes it
+                        events = taken
+                elif live == _LIVE_LOAD_GREEN:
+                    address = regs[reg][1]
+                    hit = -1
+                    for index, pair in enumerate(queue):
+                        if pair[0] == address:
+                            hit = index
+                            break
+                    queue_steps_append(t)
+                    queue_events_append((QE_SCAN, address, hit))
+                elif live == _LIVE_STORE_GREEN:
+                    universe_add(regs[reg][1])
+                    queue_steps_append(t)
+                    queue_events_append(push)
+                elif live == _LIVE_STORE_BLUE:
+                    if queue:
+                        commit_add(queue[-1][0])
+                        queue_steps_append(t)
+                        queue_events_append((QE_POP, len(queue)))
+                    else:  # the reference faults here
+                        self.prunable = False
+                elif live == _LIVE_STORE_PLAIN:
+                    address = regs[reg][1]
+                    universe_add(address)
+                    commit_add(address)
+                else:
+                    self.prunable = False
+            t <<= EV_BITS
+            for append, kind in events:
+                append(t | kind)
+
+        return record
+
+    def finish(self, steps: int, code) -> "Recording":
+        """Seal the recording of a halted run of ``steps`` steps."""
+        self.steps = steps
+        self.instrs = list(map(code.__getitem__, self.pcs))
+        self.reg_events = {name: events
+                           for name, events in self.reg_events.items()
+                           if events}
+        self.universe = frozenset(self.universe)
+        self.commit_addrs = frozenset(self.commit_addrs)
+        return self
+
+
+def _touches(instr) -> tuple:
+    """The pruner's register events of ``instr`` in the order
+    :mod:`repro.core.semantics` touches them, as ``(live, touches,
+    taken_touches, reg)`` (see :meth:`Recording._template`).  Only the
+    first touch counts: ``add r1, r1, r2`` *reads* a corrupt r1 before
+    overwriting it."""
+    if isinstance(instr, ArithRRR):
+        return (_LIVE_NONE, [(instr.rs, EV_READ), (instr.rt, EV_READ),
+                             (instr.rd, EV_WRITE)], None, None)
+    if isinstance(instr, ArithRRI):
+        return (_LIVE_NONE, [(instr.rs, EV_READ), (instr.rd, EV_WRITE)],
+                None, None)
+    if isinstance(instr, Mov):
+        return _LIVE_NONE, [(instr.rd, EV_WRITE)], None, None
+    if isinstance(instr, Load):
+        live = _LIVE_LOAD_GREEN if instr.color is Color.GREEN \
+            else _LIVE_NONE
+        return (live, [(instr.rs, EV_LOADADDR), (instr.rd, EV_WRITE)],
+                None, instr.rs)
+    if isinstance(instr, Store):
+        if instr.color is not Color.GREEN:
+            return (_LIVE_STORE_BLUE,
+                    [(instr.rd, EV_CHECK), (instr.rs, EV_CHECK)], None, None)
+        if instr.rd == instr.rs:
+            touches = [(instr.rd, EV_SPAWN_BOTH)]
+        else:
+            touches = [(instr.rd, EV_SPAWN_ADDR), (instr.rs, EV_SPAWN_VAL)]
+        return _LIVE_STORE_GREEN, touches, None, instr.rd
+    if isinstance(instr, Jmp):
+        return _LIVE_NONE, _transfer(instr.color, instr.rd), None, None
+    if isinstance(instr, Bz):
+        return (_LIVE_BRANCH, [(instr.rz, EV_READ), (DEST, EV_CHECK)],
+                [(instr.rz, EV_READ)] + _transfer(instr.color, instr.rd),
+                instr.rz)
+    if isinstance(instr, Halt):
+        return _LIVE_NONE, [], None, None
+    if isinstance(instr, PlainLoad):
+        return (_LIVE_NONE, [(instr.rs, EV_LOADADDR), (instr.rd, EV_WRITE)],
+                None, None)
+    if isinstance(instr, PlainStore):
+        return (_LIVE_STORE_PLAIN, [(instr.rd, EV_READ), (instr.rs, EV_READ)],
+                None, instr.rd)
+    if isinstance(instr, PlainJmp):
+        return (_LIVE_NONE, [(instr.rd, EV_READ), (PC_G, EV_WRITE),
+                             (PC_B, EV_WRITE)], None, None)
+    if isinstance(instr, PlainBz):
+        return (_LIVE_BRANCH, [(instr.rz, EV_READ)],
+                [(instr.rz, EV_READ), (instr.rd, EV_READ), (PC_G, EV_WRITE),
+                 (PC_B, EV_WRITE)], instr.rz)
+    return _LIVE_UNMODELED, [], None, None
+
+
+def _transfer(color: Color, rd: str) -> list:
+    """First touches of a taken jump or branch."""
+    if color is Color.GREEN:
+        return [(DEST, EV_CHECK), (rd, EV_SPAWN_DEST)]
+    if rd == DEST:
+        # Degenerate blue transfer: the check compares the register
+        # against itself, so a nonzero corruption passes and the machine
+        # jumps to it.
+        checks = [(DEST, EV_READ)]
+    else:
+        checks = [(DEST, EV_CHECK), (rd, EV_CHECK)]
+    return checks + [(PC_G, EV_WRITE), (PC_B, EV_WRITE)]
+
+
 def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
-    """Fault-free reference run with sparse checkpoints."""
+    """Fault-free reference run with sparse checkpoints and a
+    :class:`Recording` of every instruction it executes.
+
+    One loop serves both engines: one unfused closure per whole
+    instruction (fetch + execute) when the program is compiled, the
+    interpreter otherwise.  ``outputs_before`` still needs a
+    per-small-step entry, and both of an instruction's steps see the same
+    pre-instruction output count (only the execute sub-step emits, and
+    its outputs land after it).  The closure path is skipped whenever an
+    instruction would straddle a checkpoint boundary, the step cap, or a
+    pending instruction register, so checkpoints land at exactly the same
+    step indices as under the interpreter.
+    """
     state = program.boot()
     oob_policy = config.oob_policy
     interval = max(1, config.checkpoint_interval)
@@ -408,56 +732,46 @@ def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
         # The vector backend shares the compilation: its reference run is
         # identical, and its per-lane fallbacks run compiled.
         compiled = compiled_for(state, oob_policy)
+    closures = compiled.base if compiled is not None else {}
+    # Instruction i executes at step 2i + 1 only in a run that boots
+    # between instructions.
+    recordable = state.ir is None
+    recording = Recording(state)
+    record = recording.recorder(state)
     checkpoints: List[MachineState] = [state.clone()]
     outputs: List[Tuple[int, int]] = []
     outputs_before: List[int] = []
     steps = 0
     max_steps = config.max_steps
     running = Status.RUNNING
-    if compiled is not None:
-        # Compiled reference loop: one unfused closure per whole
-        # instruction (fetch + execute).  ``outputs_before`` still needs a
-        # per-small-step entry, and both of an instruction's steps see the
-        # same pre-instruction output count (only the execute sub-step
-        # emits, and its outputs land after it).  The closure path is
-        # skipped whenever an instruction would straddle a checkpoint
-        # boundary, the step cap, or a pending instruction register, so
-        # checkpoints land at exactly the same step indices as under the
-        # interpreter.
-        base = compiled.base
-        regs = state.regs._regs
-        emit = outputs.append
-        rand = lambda: 0  # the reference semantics never consults rand
-        while steps < max_steps and state.status is running:
-            closure = None
-            if (state.ir is None and max_steps - steps >= 2
-                    and interval - steps % interval >= 2):
-                pcg = regs[PC_G][1]
-                if pcg == regs[PC_B][1]:
-                    closure = base.get(pcg)
-            if closure is not None:
-                count = len(outputs)
-                outputs_before.append(count)
-                outputs_before.append(count)
-                closure(state, regs, emit, rand)
-                steps += 2
-            else:
-                outputs_before.append(len(outputs))
-                result = _semantics_step(state, oob_policy)
-                if result.outputs:
-                    outputs.extend(result.outputs)
-                steps += 1
-            if steps % interval == 0 and state.status is running:
-                checkpoints.append(state.clone())
-    else:
-        while steps < max_steps and state.status is running:
+    regs = state.regs._regs
+    emit = outputs.append
+    rand = lambda: 0  # the reference semantics never consults rand
+    while steps < max_steps and state.status is running:
+        closure = None
+        if (closures and state.ir is None and max_steps - steps >= 2
+                and interval - steps % interval >= 2):
+            pcg = regs[PC_G][1]
+            if pcg == regs[PC_B][1]:
+                closure = closures.get(pcg)
+        if closure is not None:
+            record(pcg, steps + 1)
+            count = len(outputs)
+            outputs_before.append(count)
+            outputs_before.append(count)
+            closure(state, regs, emit, rand)
+            steps += 2
+        else:
+            fetch = state.ir is None
             outputs_before.append(len(outputs))
             result = _semantics_step(state, oob_policy)
             if result.outputs:
                 outputs.extend(result.outputs)
             steps += 1
-            if steps % interval == 0 and state.status is running:
-                checkpoints.append(state.clone())
+            if fetch and state.ir is not None:
+                record(regs[PC_G][1], steps)
+        if steps % interval == 0 and state.status is running:
+            checkpoints.append(state.clone())
     if state.status is Status.HALTED:
         outcome = Outcome.HALTED
     elif state.status is Status.FAULT_DETECTED:
@@ -465,8 +779,10 @@ def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
     else:
         outcome = Outcome.RUNNING
     trace = Trace(outcome, outputs, steps)
-    return ReferenceRun(trace, outputs_before, checkpoints, interval,
-                        oob_policy, compiled)
+    return ReferenceRun(
+        trace, outputs_before, checkpoints, interval, oob_policy, compiled,
+        recording.finish(steps, state.code)
+        if recordable and outcome is Outcome.HALTED else None)
 
 
 def _injection_steps(total: int, config: CampaignConfig) -> List[int]:
@@ -555,9 +871,10 @@ def _run_faults(
     """Execute ``faults`` against ``base`` on the configured backend.
 
     The unpruned execution core: the vector batch when configured (with
-    scalar fallthrough), else the compiled/interpreter loop.  The pruning
-    engine calls this on class representatives and unclassified faults;
-    ``_run_step`` calls it on the whole fault list when pruning is off.
+    scalar fallthrough), else the scalar loop (:func:`_run_scalar`).  The
+    pruning engine calls this on class representatives and unclassified
+    faults; ``_run_step`` calls it on the whole fault list when pruning
+    is off.
     """
     if config.backend == "vector" and faults:
         from repro.injection.batch import run_step_batch
@@ -567,23 +884,61 @@ def _run_faults(
         if outcomes is not None:
             return outcomes
         # Unvectorizable step (exotic state or program): run it scalar.
+    return _run_scalar(config, reference, budget, step_index, base,
+                       _injected(base, faults, step_index), run_compiled)
+
+
+def _injected(
+    base: MachineState, faults: List[Fault], step_index: int,
+) -> Iterator[Tuple[Fault, MachineState, int]]:
+    """One fresh lane per fault: a clone of ``base`` with the fault
+    applied, built only when the scalar finisher reaches it."""
+    for fault in faults:
+        faulty = base.clone()
+        apply_fault(faulty, fault)
+        yield fault, faulty, step_index
+
+
+def _run_scalar(
+    config: CampaignConfig,
+    reference: ReferenceRun,
+    budget: int,
+    step_index: int,
+    base: MachineState,
+    lanes,
+    run_compiled: Callable[..., Trace],
+) -> List[StepOutcome]:
+    """Finish faulty runs on the compiled engine (or the interpreter) and
+    classify them.
+
+    ``lanes`` yields ``(fault, state, t)``: a faulty state before step
+    ``t`` that has emitted exactly the reference outputs since the
+    injection before ``step_index`` -- ``t == step_index`` for a fresh
+    injection, later for a vector lane retired mid-run.  ``run_compiled``
+    is the caller's binding of :func:`repro.exec.run_compiled`, so a
+    per-layer trace tells the vector engine's lane fallbacks apart.
+    """
     produced = reference.outputs_before[step_index]
     oob_policy = config.oob_policy
     error_port = config.error_port
-    # All faulty states are clones of ``base`` (zaps never add or remove
-    # registers), so one supports() check covers the whole step.
+    # All faulty states share ``base``'s register bank (zaps never add or
+    # remove registers, and retired vector lanes keep the bank's names),
+    # so one supports() check covers the whole step.
     compiled = reference.compiled
     if compiled is not None and not compiled.supports(base):
         compiled = None
     outcomes = []
-    for fault in faults:
-        faulty = base.clone()
-        apply_fault(faulty, fault)
+    for fault, state, t in lanes:
+        max_steps = budget - (t - step_index)
         if compiled is not None:
-            trace = run_compiled(faulty, compiled, max_steps=budget)
+            trace = run_compiled(state, compiled, max_steps=max_steps)
         else:
-            trace = Machine(faulty, oob_policy=oob_policy,
-                            backend="step").run(max_steps=budget)
+            trace = Machine(state, oob_policy=oob_policy,
+                            backend="step").run(max_steps=max_steps)
+        if t != step_index:
+            trace = Trace(trace.outcome,
+                          list(reference.tail(step_index, t)) + trace.outputs,
+                          t - step_index + trace.steps)
         result = classify_tail(trace, reference.trace, produced,
                                error_port)
         outcomes.append((fault, result, tuple(trace.outputs),

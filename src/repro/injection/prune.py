@@ -3,11 +3,13 @@
 Exhaustive SEU sweeps execute every (step, site, value) variant, yet most
 variants are provably equivalent *before any lane is stepped*:
 
-* **Masking analysis.**  A def-use walk over the cached reference
-  schedule: a corrupted location that is overwritten (or never consulted)
-  before its first semantic use cannot change the run.  All such faults
-  at one injection step collapse into a single "no-effect" class whose
-  outcome is the reference tail itself.
+* **Masking analysis.**  A def-use walk over the per-register events the
+  reference run recorded (:class:`~repro.injection.campaign.Recording`;
+  this module never replays the fault-free run): a corrupted location
+  that is overwritten (or never consulted) before its first semantic use
+  cannot change the run.  All such faults at one injection step collapse
+  into a single "no-effect" class whose outcome is the reference tail
+  itself.
 * **Detection congruence.**  The TAL_FT check rules are *total* on
   corrupt-vs-reference mismatches: a blue store compares both copies, the
   jump/branch protocol compares the announced and committed targets, and
@@ -27,11 +29,12 @@ variants are provably equivalent *before any lane is stepped*:
 Only class representatives and unclassifiable faults execute on the
 underlying engine (vector batch, compiled, or the interpreter, exactly
 as an unpruned step would); every pruned member is assigned the class
-prediction *after the representative's real execution confirmed it*, so
-``CampaignReport`` stays bit-identical by construction.  A randomized
-audit mode (``--prune-audit P``) re-executes a sampled fraction of the
-pruned variants on the scalar engines and hard-fails
-(:class:`PruneAuditError`) on any mismatch.
+prediction (:class:`~repro.injection.campaign.SettleRules`, the rules
+the vector engine settles lanes by) *after the representative's real
+execution confirmed it*, so ``CampaignReport`` stays bit-identical by
+construction.  A randomized audit mode (``--prune-audit P``)
+re-executes a sampled fraction of the pruned variants on the scalar
+engines and hard-fails (:class:`PruneAuditError`) on any mismatch.
 
 Soundness of the classifier rests on one invariant: between semantic
 events, both the reference and the faulty run leave a corrupted location
@@ -50,23 +53,8 @@ import random
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.colors import Color
-from repro.core.errors import MachineStuck, ReproError
+from repro.core.errors import ReproError
 from repro.core.framing import read_frames, rewrite
-from repro.core.instructions import (
-    ArithRRI,
-    ArithRRR,
-    Bz,
-    Halt,
-    Jmp,
-    Load,
-    Mov,
-    PlainBz,
-    PlainJmp,
-    PlainLoad,
-    PlainStore,
-    Store,
-)
 from repro.core.faults import (
     Fault,
     QueueZapAddress,
@@ -74,11 +62,24 @@ from repro.core.faults import (
     RegZap,
     is_effective,
 )
-from repro.core.machine import Outcome, Trace
 from repro.core.registers import DEST, PC_B, PC_G
-from repro.core.semantics import OobPolicy, step as _semantics_step
-from repro.core.state import MachineState, Status
-from repro.exec.cache import code_fingerprint, get_aux
+from repro.core.semantics import OobPolicy
+from repro.core.state import MachineState
+from repro.injection.campaign import (
+    EV_BITS,
+    EV_CHECK,
+    EV_LOADADDR,
+    EV_READ,
+    EV_SPAWN_DEST,
+    EV_SPAWN_VAL,
+    EV_WRITE,
+    QE_POP,
+    QE_PUSH,
+    FaultResult,
+    Recording,
+    SettleRules,
+    _run_faults,
+)
 from repro.observe import get_registry
 
 
@@ -89,245 +90,27 @@ class PruneAuditError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Reference-schedule analysis
+# The reference recording, as the pruner sees it
 # ---------------------------------------------------------------------------
 
-#: Register event kinds, in increasing "gives up more" order.
-#: READ: the corrupt magnitude flows into data/control -- unclassified.
-#: CHECK: a TAL_FT check that detects any corrupt != reference value.
-#: WRITE: the location is overwritten with a reference value -- the
-#: corruption dies.
-#: LOADADDR: the corrupt value is used as a load address (classifiable
-#: when it cannot alias any address the run ever maps).
-#: SPAWN_*: a green store / green jump copies the corruption into a new
-#: location (a store-queue pair, the destination register) while the
-#: source stays live.
-(EV_READ, EV_CHECK, EV_WRITE, EV_LOADADDR,
- EV_SPAWN_DEST, EV_SPAWN_ADDR, EV_SPAWN_VAL, EV_SPAWN_BOTH) = range(8)
 
-#: Store-queue event kinds (one per queue-touching instruction).
-QE_PUSH, QE_POP, QE_SCAN = range(3)
-
-
-class PruneAnalysis:
-    """Per-program def-use/check schedule for the masking and
-    detection-congruence analyses.
-
-    ``reg_events[name]`` is a pair of parallel lists ``(steps, kinds)``
-    sorted by step: the first semantic touch of that register at each
-    execute step that touches it.  ``queue_steps``/``queue_events`` record
-    every queue-touching instruction chronologically.  ``universe`` is
-    every address that can ever be mapped (boot memory and queue, plus
-    every green/plain store address): a corrupt load address outside it
-    is guaranteed out-of-bounds.
-    """
-
-    __slots__ = ("reg_names", "pcs", "instrs", "reg_events", "queue_steps",
-                 "queue_events", "universe", "steps")
-
-    def __init__(self, reg_names, pcs, instrs, reg_events, queue_steps,
-                 queue_events, universe, steps):
-        self.reg_names = reg_names
-        self.pcs = pcs
-        self.instrs = instrs
-        self.reg_events = reg_events
-        self.queue_steps = queue_steps
-        self.queue_events = queue_events
-        self.universe = universe
-        self.steps = steps
-
-
-def _build_analysis(
-    boot: MachineState,
-    oob_policy: OobPolicy,
-    expected_steps: int,
-) -> Optional[PruneAnalysis]:
-    """Replay the fault-free run, recording per-register semantic events.
-
-    Mirrors the event order of :mod:`repro.core.semantics` exactly; the
-    first touch of a register within one instruction wins (``add r1, r1,
-    r2`` *reads* the corrupt r1 before overwriting it).  Returns ``None``
-    for anything the classifier should not reason about (non-halting
-    runs, unknown instruction shapes, a reference that would fault).
-    """
-    state = boot.clone()
-    if state.ir is not None or state.status is not Status.RUNNING:
+def analysis_for(reference) -> Optional[Recording]:
+    """The def-use/check schedule of the reference run: its
+    :class:`~repro.injection.campaign.Recording`, or ``None`` when the
+    pruner must decline (a run that did not halt or booted
+    mid-instruction, or one that executed something the walk does not
+    model)."""
+    recording = reference.recording
+    if recording is None or not recording.prunable:
         return None
-    reg_names = tuple(state.regs._regs)
-    reg_events: Dict[str, Tuple[List[int], List[int]]] = {}
-    queue_steps: List[int] = []
-    queue_events: List[tuple] = []
-    universe = set(state.memory)
-    for address, _value in state.queue.pairs():
-        universe.add(address)
-    pcs: List[int] = []
-    instrs: List = []
-    steps = 0
-    regs = state.regs
-
-    def rec(seen, t, name, kind):
-        if name in seen:
-            return
-        seen.add(name)
-        lists = reg_events.get(name)
-        if lists is None:
-            lists = ([], [])
-            reg_events[name] = lists
-        lists[0].append(t)
-        lists[1].append(kind)
-
-    while steps < expected_steps and state.status is Status.RUNNING:
-        pc = regs._regs[PC_G][1]
-        try:
-            _semantics_step(state, oob_policy)  # fetch
-        except (MachineStuck, ReproError):
-            return None
-        steps += 1
-        instr = state.ir
-        if instr is None:  # fetch-fail: the reference faulted
-            return None
-        t = steps  # 0-based index of the execute step about to run
-        pcs.append(pc)
-        instrs.append(instr)
-        seen: set = set()
-        if isinstance(instr, ArithRRR):
-            rec(seen, t, instr.rs, EV_READ)
-            rec(seen, t, instr.rt, EV_READ)
-            rec(seen, t, instr.rd, EV_WRITE)
-        elif isinstance(instr, ArithRRI):
-            rec(seen, t, instr.rs, EV_READ)
-            rec(seen, t, instr.rd, EV_WRITE)
-        elif isinstance(instr, Mov):
-            rec(seen, t, instr.rd, EV_WRITE)
-        elif isinstance(instr, Load):
-            if instr.color is Color.GREEN:
-                address = regs._regs[instr.rs][1]
-                hit = -1
-                for index, pair in enumerate(state.queue.pairs()):
-                    if pair[0] == address:
-                        hit = index
-                        break
-                queue_steps.append(t)
-                queue_events.append((QE_SCAN, address, hit))
-            rec(seen, t, instr.rs, EV_LOADADDR)
-            rec(seen, t, instr.rd, EV_WRITE)
-        elif isinstance(instr, Store):
-            if instr.color is Color.GREEN:
-                universe.add(regs._regs[instr.rd][1])
-                if instr.rd == instr.rs:
-                    rec(seen, t, instr.rd, EV_SPAWN_BOTH)
-                else:
-                    rec(seen, t, instr.rd, EV_SPAWN_ADDR)
-                    rec(seen, t, instr.rs, EV_SPAWN_VAL)
-                queue_steps.append(t)
-                queue_events.append((QE_PUSH,))
-            else:
-                qlen = len(state.queue)
-                if qlen == 0:  # the reference would fault here
-                    return None
-                rec(seen, t, instr.rd, EV_CHECK)
-                rec(seen, t, instr.rs, EV_CHECK)
-                queue_steps.append(t)
-                queue_events.append((QE_POP, qlen))
-        elif isinstance(instr, Jmp):
-            if instr.color is Color.GREEN:
-                rec(seen, t, DEST, EV_CHECK)
-                rec(seen, t, instr.rd, EV_SPAWN_DEST)
-            else:
-                if instr.rd == DEST:
-                    # Degenerate blue jump: the check compares the
-                    # register against itself, so a nonzero corruption
-                    # passes and the machine jumps to it.
-                    rec(seen, t, DEST, EV_READ)
-                else:
-                    rec(seen, t, DEST, EV_CHECK)
-                    rec(seen, t, instr.rd, EV_CHECK)
-                rec(seen, t, PC_G, EV_WRITE)
-                rec(seen, t, PC_B, EV_WRITE)
-        elif isinstance(instr, Bz):
-            rec(seen, t, instr.rz, EV_READ)
-            if regs._regs[instr.rz][1] != 0:  # reference falls through
-                rec(seen, t, DEST, EV_CHECK)
-            elif instr.color is Color.GREEN:
-                rec(seen, t, DEST, EV_CHECK)
-                rec(seen, t, instr.rd, EV_SPAWN_DEST)
-            else:
-                if instr.rd == DEST:
-                    rec(seen, t, DEST, EV_READ)
-                else:
-                    rec(seen, t, DEST, EV_CHECK)
-                    rec(seen, t, instr.rd, EV_CHECK)
-                rec(seen, t, PC_G, EV_WRITE)
-                rec(seen, t, PC_B, EV_WRITE)
-        elif isinstance(instr, Halt):
-            pass
-        elif isinstance(instr, PlainLoad):
-            rec(seen, t, instr.rs, EV_LOADADDR)
-            rec(seen, t, instr.rd, EV_WRITE)
-        elif isinstance(instr, PlainStore):
-            universe.add(regs._regs[instr.rd][1])
-            rec(seen, t, instr.rd, EV_READ)
-            rec(seen, t, instr.rs, EV_READ)
-        elif isinstance(instr, PlainJmp):
-            rec(seen, t, instr.rd, EV_READ)
-            rec(seen, t, PC_G, EV_WRITE)
-            rec(seen, t, PC_B, EV_WRITE)
-        elif isinstance(instr, PlainBz):
-            rec(seen, t, instr.rz, EV_READ)
-            if regs._regs[instr.rz][1] == 0:  # reference takes the branch
-                rec(seen, t, instr.rd, EV_READ)
-                rec(seen, t, PC_G, EV_WRITE)
-                rec(seen, t, PC_B, EV_WRITE)
-        else:
-            return None
-        if steps >= expected_steps:
-            return None  # reference cannot end between fetch and execute
-        try:
-            _semantics_step(state, oob_policy)  # execute
-        except (MachineStuck, ReproError):
-            return None
-        steps += 1
-    if steps != expected_steps or state.status is not Status.HALTED:
-        return None
-    return PruneAnalysis(reg_names, pcs, instrs, reg_events, queue_steps,
-                         queue_events, frozenset(universe), steps)
-
-
-#: Negative-cache marker (``get_aux`` treats ``None`` as a miss).
-_UNSUPPORTED = object()
-
-
-def analysis_for(
-    boot: MachineState,
-    oob_policy: OobPolicy,
-    expected_steps: int,
-) -> Optional[PruneAnalysis]:
-    """The cached :class:`PruneAnalysis` for ``boot``'s program, or
-    ``None``.  Keyed exactly like the vector backend's schedule cache:
-    program fingerprint plus the boot observables that determine the
-    reference run."""
-    try:
-        signature = (
-            tuple(cv[1] for cv in boot.regs._regs.values()),
-            tuple(sorted(boot.memory.items())),
-            boot.queue.pairs(),
-            boot.observable_min,
-        )
-        key = (code_fingerprint(boot.code), oob_policy, "prune-analysis",
-               signature)
-    except TypeError:  # unhashable exotic state: just decline
-        return None
-    built = get_aux(
-        key,
-        lambda: _build_analysis(boot, oob_policy, expected_steps)
-        or _UNSUPPORTED,
-    )
-    return None if built is _UNSUPPORTED else built
+    return recording
 
 
 # ---------------------------------------------------------------------------
 # Per-fault classification
 # ---------------------------------------------------------------------------
+
+_EV_MASK = (1 << EV_BITS) - 1
 
 #: Entity caps: a fault tracks at most this many corrupt locations (the
 #: original plus spawned copies) for at most this many event rounds
@@ -336,17 +119,17 @@ _MAX_ENTITIES = 3
 _MAX_ROUNDS = 64
 
 
-def _reg_next_event(analysis: PruneAnalysis, name: str, cursor: int):
+def _reg_next_event(analysis: Recording, name: str, cursor: int):
     """The register's next semantic event at or after ``cursor``, as
     ``(step, kind)``; for the program counters the ubiquitous fetch
     comparison is an analytic CHECK at the next even step."""
-    lists = analysis.reg_events.get(name)
+    events = analysis.reg_events.get(name)
     sparse = None
-    if lists is not None:
-        steps, kinds = lists
-        index = bisect_left(steps, cursor)
-        if index < len(steps):
-            sparse = (steps[index], kinds[index])
+    if events is not None:
+        index = bisect_left(events, cursor << EV_BITS)
+        if index < len(events):
+            packed = events[index]
+            sparse = (packed >> EV_BITS, packed & _EV_MASK)
     if name == PC_G or name == PC_B:
         fetch = cursor if cursor % 2 == 0 else cursor + 1
         # Execute events sit on odd steps, fetches on even ones -- no tie.
@@ -355,7 +138,7 @@ def _reg_next_event(analysis: PruneAnalysis, name: str, cursor: int):
     return sparse
 
 
-def _pair_next_event(analysis: PruneAnalysis, entity: List):
+def _pair_next_event(analysis: Recording, entity: List):
     """Walk the corrupt queue pair through the reference queue events,
     consuming transparent ones (pushes ahead of it, pops and scans that
     cannot see it) in place.  Returns the next *significant* event:
@@ -396,7 +179,7 @@ def _pair_next_event(analysis: PruneAnalysis, entity: List):
 
 
 def classify_fault(
-    analysis: PruneAnalysis,
+    analysis: Recording,
     fault: Fault,
     step_index: int,
     oob_trap: bool,
@@ -553,8 +336,6 @@ def _decode_value(data, ref_tail):
     """Decode a memo value, tolerantly: malformed entries (a corrupted
     sidecar file, a future format) decode to ``None`` and the fault
     simply runs."""
-    from repro.injection.campaign import FaultResult
-
     try:
         result = FaultResult(data[0])
         encoded = data[1]
@@ -666,65 +447,18 @@ def run_step_pruned(
     equal to the unpruned engines' -- or ``None`` when the program
     resists analysis and the caller must run the step unpruned.
     """
-    from repro.injection.campaign import (
-        FaultResult,
-        _run_faults,
-        classify_tail,
-    )
-
-    ref_trace = reference.trace
-    if ref_trace.outcome is not Outcome.HALTED:
-        return None
-    analysis = analysis_for(program.boot(), config.oob_policy,
-                            ref_trace.steps)
-    if analysis is None or analysis.steps != ref_trace.steps:
-        return None
-    # Sanity-pin the base state against the analysis replay, exactly as
-    # the vector backend pins against its schedule.
     s = step_index
-    instr_index = s // 2
-    if tuple(base.regs._regs) != analysis.reg_names:
+    analysis = analysis_for(reference)
+    if analysis is None or not analysis.pins(base, s):
         return None
-    if not 0 <= instr_index < len(analysis.pcs):
-        return None
-    if base.regs._regs[PC_G][1] != analysis.pcs[instr_index] \
-            or base.regs._regs[PC_B][1] != analysis.pcs[instr_index]:
-        return None
-    if (s % 2 == 1) != (base.ir is not None):
-        return None
-    if s % 2 == 1 and base.ir != analysis.instrs[instr_index]:
-        return None
-
-    produced = reference.outputs_before[s]
-    outputs_before = reference.outputs_before
-    ref_outputs = ref_trace.outputs
-    ref_steps = ref_trace.steps
-    full_tail = tuple(ref_outputs[produced:])
     oob_trap = config.oob_policy is OobPolicy.TRAP
-    error_port = config.error_port
-
-    # Predictions mirror the vector backend's settle rules exactly.
-    masked_steps = ref_steps - s
-    if error_port is None:
-        masked_pred = (FaultResult.MASKED, full_tail, masked_steps)
-    else:
-        trace = Trace(Outcome.HALTED, list(full_tail), masked_steps)
-        masked_pred = (
-            classify_tail(trace, ref_trace, produced, error_port),
-            full_tail, masked_steps)
-
-    tail_at: Dict[int, tuple] = {}
+    rules = SettleRules(reference, s, config.error_port)
+    full_tail = rules.full_tail
 
     def predict(cls: tuple):
         if cls[0] == "masked":
-            return masked_pred
-        t = cls[1]
-        tail = tail_at.get(t)
-        if tail is None:
-            end = outputs_before[t] if t < ref_steps else len(ref_outputs)
-            tail = tuple(ref_outputs[produced:end])
-            tail_at[t] = tail
-        return (FaultResult.DETECTED, tail, t - s + 1)
+            return rules.masked
+        return rules.detected(cls[1])
 
     memo = memo_for(program, config)
     results: List[Optional[tuple]] = [None] * len(faults)

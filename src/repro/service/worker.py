@@ -14,13 +14,10 @@ worker runs a step never matters.  On every job the worker warms the
 compiled-program cache and rebuilds the checkpointed reference run,
 mirroring the supervised pool's initializer.
 
-Two entry points:
-
-* :func:`run_connect` -- dial a coordinator (``talft shard-worker
-  --connect HOST:PORT``), serve one connection, exit;
-* :func:`run_listen` -- bind and accept coordinators (``talft
-  shard-worker --listen [HOST:]PORT``), serving one connection at a
-  time; ``--once`` exits after the first (how tests manage fleets).
+The entry point is :func:`run_listen`: bind and accept coordinators
+(``talft shard-worker --listen [HOST:]PORT``), serving one connection at
+a time; ``--once`` exits after the first (how tests manage fleets).  The
+coordinator always dials its workers.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import os
 import signal
 import socket
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.observe import MetricsRegistry, emit, host_label, set_registry
 from repro.service.protocol import (
@@ -165,13 +162,6 @@ def serve_connection(sock: socket.socket,
         return
     finally:
         conn.close()
-
-
-def run_connect(address: Tuple[str, int],
-                authkey: Optional[bytes] = None) -> None:
-    """Dial a coordinator and serve the connection until it ends."""
-    sock = socket.create_connection(address)
-    serve_connection(sock, authkey=authkey)
 
 
 def _is_loopback(host: str) -> bool:

@@ -191,10 +191,6 @@ class TestCampaignValidation:
         err = capsys.readouterr().err
         assert "--serve-port" in err and "must be" in err
 
-    def test_bad_shard_worker_connect_exit_2(self, capsys):
-        assert main(["shard-worker", "--connect", "nowhere"]) == 2
-        assert "--connect" in capsys.readouterr().err
-
 
 class TestCampaignJournal:
     def test_journal_then_resume(self, tmp_path, capsys):

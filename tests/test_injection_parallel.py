@@ -10,6 +10,8 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.core import Machine
+from repro.core.machine import Outcome
+from repro.core.registers import PC_G
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.campaign import (
     ReferenceRun,
@@ -17,6 +19,7 @@ from repro.injection.campaign import (
     _reference_run,
     classify_tail,
 )
+from repro.workloads import ALL_KERNELS, compile_kernel
 from tests.helpers import countdown_loop_program, paper_store_program
 
 
@@ -45,7 +48,7 @@ def _report_fingerprint(report):
 
 
 class TestCheckpointReplay:
-    @pytest.mark.parametrize("interval", [1, 3, 7, 64])
+    @pytest.mark.parametrize("interval", [1, 3, 7, 32, 64])
     def test_replayed_states_equal_eager_snapshots(self, interval):
         program = countdown_loop_program(3)
         config = CampaignConfig(checkpoint_interval=interval)
@@ -59,6 +62,20 @@ class TestCheckpointReplay:
             assert replayed.queue == expected.queue
             assert replayed.ir == expected.ir
             assert replayed.status == expected.status
+
+    @pytest.mark.parametrize("interval", [1, 3, 7, 32, 64])
+    @pytest.mark.parametrize("program_builder", [
+        lambda: countdown_loop_program(3), paper_store_program,
+    ], ids=["countdown", "paper-store"])
+    def test_recording_matches_eager_snapshots(self, program_builder,
+                                               interval):
+        program = program_builder()
+        config = CampaignConfig(checkpoint_interval=interval)
+        recording = _reference_run(program, config).recording
+        fetched = [(state.regs.value(PC_G), state.ir)
+                   for state in _eager_snapshots(program, config)
+                   if state.ir is not None]
+        assert list(zip(recording.pcs, recording.instrs)) == fetched
 
     def test_checkpoint_count_is_sparse(self):
         program = countdown_loop_program(4)
@@ -84,6 +101,36 @@ class TestCheckpointReplay:
         assert reference.outputs_before[0] == 0
         assert reference.outputs_before[-1] <= len(reference.trace.outputs)
         assert reference.outputs_before == sorted(reference.outputs_before)
+
+
+def _recorded(reference):
+    """Everything a reference run recorded, as comparable data."""
+    recording = reference.recording
+    if recording is None:
+        return None
+    return {name: getattr(recording, name) for name in recording.__slots__
+            if name != "views"}
+
+
+class TestRecording:
+    """The walk records the same run whichever engine executes it."""
+
+    @pytest.mark.parametrize("mode", ["ft", "baseline"])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_interpreter_and_closure_walks_agree(self, kernel, mode):
+        # Odd intervals split instructions across checkpoints, so the
+        # interval-7 interpreter walk records after separate fetches while
+        # the interval-32 compiled walk records ahead of whole closures.
+        program = compile_kernel(kernel, mode).program
+        compiled = _reference_run(
+            program, CampaignConfig(backend="compiled"))
+        if compiled.trace.outcome is not Outcome.HALTED:
+            assert compiled.recording is None
+            return  # no recording to compare under the default max_steps
+        stepped = _reference_run(
+            program, CampaignConfig(backend="step", checkpoint_interval=7))
+        assert compiled.recording.pcs  # a real walk, not two empty ones
+        assert _recorded(stepped) == _recorded(compiled)
 
 
 class TestInjectionStepSampling:

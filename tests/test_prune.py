@@ -83,8 +83,7 @@ class TestClassificationGroundTruth:
         config = CampaignConfig(seed=5)
         reference = _reference_run(program, config)
         assert reference.trace.outcome is Outcome.HALTED
-        analysis = analysis_for(program.boot(), config.oob_policy,
-                                reference.trace.steps)
+        analysis = analysis_for(reference)
         assert analysis is not None, f"{name} must be analyzable"
         budget = reference.trace.steps + config.step_slack
         oob_trap = config.oob_policy is OobPolicy.TRAP

@@ -18,7 +18,7 @@ np = pytest.importorskip("numpy")
 
 from repro.compiler import compile_source
 from repro.compiler.swift import ERROR_PORT
-from repro.core import Machine, green
+from repro.core import Color, Machine, green
 from repro.core.faults import (
     QueueZapAddress,
     QueueZapValue,
@@ -26,8 +26,14 @@ from repro.core.faults import (
     apply_fault,
 )
 from repro.core.registers import PC_B, PC_G
-from repro.exec import BACKENDS, MACHINE_BACKENDS, run_compiled
-from repro.exec.vector import VMAX, schedule_for, vector_available
+from repro.exec import (
+    BACKENDS,
+    MACHINE_BACKENDS,
+    clear_exec_caches,
+    exec_cache_stats,
+    run_compiled,
+)
+from repro.exec.vector import VMAX, vector_available
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.batch import run_step_batch
 from repro.injection.campaign import _reference_run, classify_tail
@@ -179,19 +185,52 @@ class TestForcedDivergence:
         assert run_step_batch(program, config, reference, budget, 0, base,
                               [RegZap("r1", 1)]) is None
 
-    def test_schedule_is_cached(self):
-        program = countdown_loop_program(3)
-        boot = program.boot()
+    def test_undecodable_instruction_declines_but_prunes(self):
+        # An immediate beyond VMAX is an instruction _decode rejects: the
+        # vector engine must decline (None), pruning must still apply,
+        # and the campaign must match the interpreter's report.
+        from repro.core import Halt, Mov, Store, blue
+        from repro.injection.prune import analysis_for, run_step_pruned
+        from repro.program import Program
+        from repro.types import INT, RefType
+        from tests.helpers import NUM_GPRS, entry_code_type
+
+        G, B = Color.GREEN, Color.BLUE
+        program = Program(
+            code={1: Mov("r5", green(VMAX + 1)),
+                  2: Mov("r1", green(5)), 3: Mov("r2", green(256)),
+                  4: Store(G, "r2", "r1"), 5: Mov("r3", blue(5)),
+                  6: Mov("r4", blue(256)), 7: Store(B, "r4", "r3"),
+                  8: Halt()},
+            label_types={1: entry_code_type(num_gprs=NUM_GPRS)},
+            data_psi={256: RefType(INT)}, entry=1,
+            initial_memory={256: 0}, num_gprs=NUM_GPRS)
         config = CampaignConfig(backend="vector")
         reference = _reference_run(program, config)
-        first = schedule_for(boot, config.oob_policy, reference.trace.steps)
-        again = schedule_for(program.boot(), config.oob_policy,
-                             reference.trace.steps)
-        assert first is not None
-        assert again is first  # same object via the program cache
+        budget = reference.trace.steps + config.step_slack
+        base = reference.state_at(4)
+        faults = [RegZap("r1", 9), RegZap("r6", 3)]
+        assert run_step_batch(program, config, reference, budget, 4, base,
+                              faults) is None
+        assert analysis_for(reference) is not None
+        assert run_step_pruned(program, config, reference, budget, 4, base,
+                               faults) is not None
+        vector = run_campaign(program, CampaignConfig(backend="vector"))
+        step = run_campaign(program, CampaignConfig(backend="step",
+                                                    prune=False))
+        assert report_fingerprint(vector) == report_fingerprint(step)
 
 
 class TestCampaignComposition:
+    def test_pruned_vector_campaign_leaves_no_aux_entries(self):
+        # The schedule and the pruner's analysis are views of the
+        # reference run's recording: nothing outlives the campaign in the
+        # shared derived-artifact cache.
+        clear_exec_caches()
+        run_campaign(countdown_loop_program(3),
+                     _campaign("vector", prune=True))
+        assert exec_cache_stats()["aux_entries"] == 0
+
     def test_jobs_pool_parity(self):
         program = countdown_loop_program(5)
         serial = run_campaign(program, _campaign("step"))
