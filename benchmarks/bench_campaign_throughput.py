@@ -38,7 +38,7 @@ contract asserted here:
   least 5x the compiled backend, with bit-identical reports, and
 * masked-fault equivalence pruning (``repro.injection.prune``) on top of
   the vector backend is at least 3x the unpruned vector backend on the
-  same sweep, still bit-identical.
+  same sweep, still bit-identical, with a cold outcome memo.
 
 (The container this was developed on exposes a single CPU, so the pool
 rows merely stay close to serial despite process overhead; on real
@@ -70,6 +70,7 @@ from repro.exec.vector import vector_available
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.campaign import CampaignReport, classify
 from repro.injection.chaos import report_fingerprint
+from repro.injection.prune import _MEMO_TABLES
 from repro.injection.values import representative_values, with_value
 from repro.workloads import compile_kernel
 
@@ -349,11 +350,17 @@ def _timed_interleaved(runners, reps: int):
     drift between fast and slow regimes over seconds; interleaving the
     measurements ensures every runner sees the same regimes, so each
     best-of falls in the same (fastest) window.
+
+    Every timed run starts from an empty outcome memo: a pruned campaign
+    repeated in one process would otherwise replay the warm-up's
+    memoized outcomes instead of executing anything.  (Unpruned runs
+    never consult the memo.)
     """
     reports = [runner() for runner in runners]  # warm up
     bests = [float("inf")] * len(runners)
     for _ in range(reps):
         for index, runner in enumerate(runners):
+            _MEMO_TABLES.clear()
             start = time.perf_counter()
             reports[index] = runner()
             bests[index] = min(bests[index], time.perf_counter() - start)

@@ -36,6 +36,7 @@ from typing import List
 from repro import observe
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.chaos import report_fingerprint
+from repro.injection.prune import _MEMO_TABLES
 from repro.workloads import compile_kernel
 
 from _bench_utils import emit_json, emit_table, format_row
@@ -60,14 +61,19 @@ def _paired_overhead(baseline_runner, treated_runner, reps: int):
     best-of times taken in different windows are incomparable.  Adjacent
     pairs are regime-matched; an inherent cost above budget would show
     in *every* pair, so the minimum ratio isolates it from the drift.
+    Every timed run starts from an empty outcome memo, so the pruned
+    campaign executes its variants instead of replaying the previous
+    run's memoized outcomes.
     """
     baseline_runner(), treated_runner()  # warm up
     best_ratio = float("inf")
     baseline_best = treated_best = float("inf")
     for _ in range(reps):
+        _MEMO_TABLES.clear()
         start = time.perf_counter()
         baseline_report = baseline_runner()
         baseline_time = time.perf_counter() - start
+        _MEMO_TABLES.clear()
         start = time.perf_counter()
         treated_report = treated_runner()
         treated_time = time.perf_counter() - start
@@ -118,6 +124,7 @@ def run_observability_table() -> List[str]:
     # treatment would make the <=3% claim vacuous.)
     registry = observe.MetricsRegistry()
     previous = observe.set_registry(registry)
+    _MEMO_TABLES.clear()
     try:
         run_campaign(program, _CONFIG, jobs=1)
     finally:

@@ -592,16 +592,19 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 2)")
     campaign.add_argument("--no-prune", action="store_true",
                           help="disable masked-fault equivalence pruning "
-                               "and execute every fault variant; the "
+                               "and execute every fault variant, each to "
+                               "its end (pruning also stops a run where "
+                               "it rejoins the fault-free run); the "
                                "report is bit-identical either way, "
                                "pruning only changes speed")
     campaign.add_argument("--prune-audit", metavar="P",
                           type=_fraction("--prune-audit"), default=0.0,
                           help="re-execute a random fraction P (0..1) of "
-                               "pruned variants and hard-fail if any "
-                               "replicated outcome differs from the real "
-                               "run (a self-check for the pruning "
-                               "analysis; 0 disables)")
+                               "all variants unpruned, each to its end, "
+                               "and hard-fail if any pruned outcome "
+                               "differs from the real run (a self-check "
+                               "for the pruning analysis and the early "
+                               "stop; 0 disables)")
     campaign.add_argument("--shards",
                           type=_int_at_least(1, "--shards"), default=None,
                           help="split the campaign N ways: N process-pool "

@@ -25,12 +25,15 @@ with any injection point reconstructed by replaying at most
 ``checkpoint_interval - 1`` deterministic steps from the nearest
 checkpoint.  The same walk records, per executed instruction, what the
 pruner and the vector engine need (:class:`Recording`), so no other
-layer replays the fault-free run.  Each injection step is processed
-independently with an RNG derived from ``(seed, step_index)``, which
-makes the work embarrassingly parallel: ``run_campaign(..., jobs=N)``
-partitions the injection steps across a supervised process pool
-(:mod:`repro.injection.resilience`) and merges the per-step results in
-step order, producing a report bit-identical to the serial engine's.
+layer replays the fault-free run.  The checkpoints double as meeting
+points: with pruning on, a faulty run stops at the first one where it
+has rejoined the reference (:func:`_run_rejoining`).  Each injection
+step is processed independently with an RNG derived from ``(seed,
+step_index)``, which makes the work embarrassingly parallel:
+``run_campaign(..., jobs=N)`` partitions the injection steps across a
+supervised process pool (:mod:`repro.injection.resilience`) and merges
+the per-step results in step order, producing a report bit-identical to
+the serial engine's.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from __future__ import annotations
 import enum
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace as _dc_replace
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -161,15 +166,16 @@ class CampaignConfig:
     #: Fault-equivalence pruning (:mod:`repro.injection.prune`): per
     #: injection step, provably-equivalent fault variants share one real
     #: execution, and the class prediction is replicated only after the
-    #: representative's execution confirmed it -- reports stay
-    #: bit-identical by construction.  ``False`` (``--no-prune``)
-    #: executes every variant.
+    #: representative's execution confirmed it; each executed run stops
+    #: where it rejoins the fault-free run (:func:`_run_rejoining`) --
+    #: reports stay bit-identical by construction.  ``False``
+    #: (``--no-prune``) executes every variant, each to its end.
     prune: bool = True
-    #: Audit fraction: re-execute this share of pruned variants on the
-    #: real engines and raise :class:`~repro.injection.prune.
-    #: PruneAuditError` on any mismatch (0.0 disables, 1.0 re-runs every
-    #: pruned variant).  Purely a verification knob -- audited reports
-    #: are bit-identical to unaudited ones.
+    #: Audit fraction: re-execute this share of all variants (executed,
+    #: replicated and memoized) unpruned, each to its end, and raise
+    #: :class:`~repro.injection.prune.PruneAuditError` on any mismatch
+    #: (0.0 disables, 1.0 re-runs every variant).  Purely a verification
+    #: knob -- audited reports are bit-identical to unaudited ones.
     prune_audit: float = 0.0
 
     def __post_init__(self) -> None:
@@ -482,6 +488,7 @@ class SettleRules:
 
 #: A recorded register event is one int, ``step << EV_BITS | kind``.
 EV_BITS = 3
+EV_MASK = (1 << EV_BITS) - 1
 
 #: Store-queue event kinds (one per queue-touching instruction).
 QE_PUSH, QE_POP, QE_SCAN = range(3)
@@ -508,8 +515,9 @@ class Recording:
     is guaranteed out-of-bounds.  ``commit_addrs`` is every address the
     run commits to memory.  ``prunable`` is false when the run executed
     something the pruner does not model.  ``views`` holds what consumers
-    derive from the recording (the vector engine's decoded schedule);
-    they live and die with it.
+    derive from the recording (the vector engine's decoded schedule, the
+    scalar finisher's live registers per checkpoint); they live and die
+    with it.
     """
 
     __slots__ = ("reg_names", "pcs", "instrs", "reg_events", "queue_steps",
@@ -546,6 +554,29 @@ class Recording:
         if step_index % 2:
             return base.ir == self.instrs[index]
         return base.ir is None
+
+    def live_at(self, step: int) -> Callable:
+        """An ``itemgetter`` over the registers the reference still
+        consumes from step ``step`` on: the program counters and every
+        register whose next recorded touch at or after ``step`` is not a
+        WRITE.  A register outside it is overwritten before it is read
+        again, or never touched again, so its value cannot change the
+        rest of the run.  Only meaningful on a ``prunable`` recording
+        (the walk models every touch); cached in :attr:`views`."""
+        cache = self.views.setdefault("live", {})
+        getter = cache.get(step)
+        if getter is None:
+            cursor = step << EV_BITS
+            names = [PC_G, PC_B]
+            for name, events in self.reg_events.items():
+                if name == PC_G or name == PC_B:
+                    continue
+                index = bisect_left(events, cursor)
+                if index < len(events) \
+                        and events[index] & EV_MASK != EV_WRITE:
+                    names.append(name)
+            getter = cache[step] = itemgetter(*names)
+        return getter
 
     def _template(self, instr) -> tuple:
         """``instr``'s recording template: ``(live, events, taken_events,
@@ -917,6 +948,10 @@ def _run_scalar(
     injection, later for a vector lane retired mid-run.  ``run_compiled``
     is the caller's binding of :func:`repro.exec.run_compiled`, so a
     per-layer trace tells the vector engine's lane fallbacks apart.
+
+    With ``config.prune`` a run stops where it rejoins the reference
+    (:func:`_run_rejoining`) and returns exactly what finishing it would
+    have; without it every run goes to its end.
     """
     produced = reference.outputs_before[step_index]
     oob_policy = config.oob_policy
@@ -927,14 +962,26 @@ def _run_scalar(
     compiled = reference.compiled
     if compiled is not None and not compiled.supports(base):
         compiled = None
+    if compiled is not None:
+        def run(state: MachineState, max_steps: int) -> Trace:
+            return run_compiled(state, compiled, max_steps=max_steps)
+    else:
+        def run(state: MachineState, max_steps: int) -> Trace:
+            return Machine(state, oob_policy=oob_policy,
+                           backend="step").run(max_steps=max_steps)
+    rejoins = _rejoin_check(reference) if config.prune else None
+    converged = skipped = 0
     outcomes = []
     for fault, state, t in lanes:
         max_steps = budget - (t - step_index)
-        if compiled is not None:
-            trace = run_compiled(state, compiled, max_steps=max_steps)
+        if rejoins is None:
+            trace = run(state, max_steps)
         else:
-            trace = Machine(state, oob_policy=oob_policy,
-                            backend="step").run(max_steps=max_steps)
+            trace, saved = _run_rejoining(reference, run, rejoins, state, t,
+                                          max_steps)
+            if saved:
+                converged += 1
+                skipped += saved
         if t != step_index:
             trace = Trace(trace.outcome,
                           list(reference.tail(step_index, t)) + trace.outputs,
@@ -943,7 +990,86 @@ def _run_scalar(
                                error_port)
         outcomes.append((fault, result, tuple(trace.outputs),
                          trace.steps))
+    if converged:
+        registry = get_registry()
+        registry.counter("campaign_converged_runs_total").inc(converged)
+        registry.counter("campaign_converged_steps_total").inc(skipped)
     return outcomes
+
+
+def _rejoin_check(reference: ReferenceRun) -> Callable[[MachineState, int],
+                                                        bool]:
+    """``rejoins(state, index)``: is ``state``, taken at the step of
+    checkpoint ``index``, the reference run from there on?  It is when
+    status, ``ir``, memory and the store queue are equal, and so is every
+    register the reference still reads (:meth:`Recording.live_at`): the
+    run then executes the reference's instructions on the reference's
+    values until it halts.  Without a prunable recording (an unrecorded
+    run, or one that executed something the walk does not model) the
+    whole register bank is compared."""
+    checkpoints = reference.checkpoints
+    interval = reference.interval
+    recording = reference.recording
+    live_at = recording.live_at \
+        if recording is not None and recording.prunable else None
+
+    def rejoins(state: MachineState, index: int) -> bool:
+        checkpoint = checkpoints[index]
+        regs = state.regs._regs
+        ref_regs = checkpoint.regs._regs
+        if live_at is None:
+            if regs != ref_regs:
+                return False
+        else:
+            live = live_at(index * interval)
+            if live(regs) != live(ref_regs):
+                return False
+        return (state.status is checkpoint.status
+                and state.ir == checkpoint.ir
+                and state.queue._pairs == checkpoint.queue._pairs
+                and state.memory == checkpoint.memory)
+
+    return rejoins
+
+
+def _run_rejoining(
+    reference: ReferenceRun,
+    run: Callable[[MachineState, int], Trace],
+    rejoins: Callable[[MachineState, int], bool],
+    state: MachineState,
+    t: int,
+    max_steps: int,
+) -> Tuple[Trace, int]:
+    """``run(state, max_steps)`` for a faulty state before step ``t``,
+    stopped at the first reference checkpoint where it ``rejoins`` the
+    reference.  Checks fall on the 1st, 2nd, 4th, 8th... checkpoint after
+    ``t``, so a run that never rejoins pays a logarithmic number of them.
+    A rejoined run returns what finishing it would have: HALTED, its own
+    outputs plus the reference outputs from the checkpoint on, and
+    ``reference.num_steps - t`` steps.  Returns ``(trace, steps the run
+    did not execute)``."""
+    interval = reference.interval
+    last = len(reference.checkpoints) - 1
+    start = t // interval
+    outputs: List[Tuple[int, int]] = []
+    steps = 0
+    gap = 1
+    while start + gap <= last:
+        index = start + gap
+        trace = run(state, index * interval - t - steps)
+        outputs += trace.outputs
+        steps += trace.steps
+        if trace.outcome is not Outcome.RUNNING:
+            return Trace(trace.outcome, outputs, steps), 0
+        if rejoins(state, index):
+            at = index * interval
+            outputs += reference.trace.outputs[reference.outputs_before[at]:]
+            return (Trace(Outcome.HALTED, outputs, reference.num_steps - t),
+                    reference.num_steps - at)
+        gap *= 2
+    trace = run(state, max_steps - steps)
+    outputs += trace.outputs
+    return Trace(trace.outcome, outputs, steps + trace.steps), 0
 
 
 def _run_step(

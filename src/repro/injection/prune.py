@@ -33,8 +33,10 @@ prediction (:class:`~repro.injection.campaign.SettleRules`, the rules
 the vector engine settles lanes by) *after the representative's real
 execution confirmed it*, so ``CampaignReport`` stays bit-identical by
 construction.  A randomized audit mode (``--prune-audit P``)
-re-executes a sampled fraction of the pruned variants on the scalar
-engines and hard-fails (:class:`PruneAuditError`) on any mismatch.
+re-executes a sampled fraction of all variants unpruned, each to its
+end, and hard-fails (:class:`PruneAuditError`) on any mismatch -- which
+also audits the scalar finisher's early stop where a run rejoins the
+reference.
 
 Soundness of the classifier rests on one invariant: between semantic
 events, both the reference and the faulty run leave a corrupted location
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ReproError
@@ -69,6 +72,7 @@ from repro.injection.campaign import (
     EV_BITS,
     EV_CHECK,
     EV_LOADADDR,
+    EV_MASK,
     EV_READ,
     EV_SPAWN_DEST,
     EV_SPAWN_VAL,
@@ -84,9 +88,10 @@ from repro.observe import get_registry
 
 
 class PruneAuditError(ReproError):
-    """A pruned variant's re-execution disagreed with its class
-    prediction -- the pruning analysis is unsound for this program and
-    must not be trusted (run with ``--no-prune`` and report the case)."""
+    """A variant's unpruned re-execution disagreed with its pruned
+    outcome -- the pruning analysis, or the early stop of a run that
+    rejoins the reference, is unsound for this program and must not be
+    trusted (run with ``--no-prune`` and report the case)."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +115,6 @@ def analysis_for(reference) -> Optional[Recording]:
 # Per-fault classification
 # ---------------------------------------------------------------------------
 
-_EV_MASK = (1 << EV_BITS) - 1
-
 #: Entity caps: a fault tracks at most this many corrupt locations (the
 #: original plus spawned copies) for at most this many event rounds
 #: before the walk gives up and the fault runs for real.
@@ -129,7 +132,7 @@ def _reg_next_event(analysis: Recording, name: str, cursor: int):
         index = bisect_left(events, cursor << EV_BITS)
         if index < len(events):
             packed = events[index]
-            sparse = (packed >> EV_BITS, packed & _EV_MASK)
+            sparse = (packed >> EV_BITS, packed & EV_MASK)
     if name == PC_G or name == PC_B:
         fetch = cursor if cursor % 2 == 0 else cursor + 1
         # Execute events sit on odd steps, fetches on even ones -- no tie.
@@ -546,23 +549,24 @@ def run_step_pruned(
             memo.record(key, _encode_value(outcome[1], outcome[2],
                                            outcome[3], full_tail))
 
-    # Randomized audit: re-execute a sampled fraction of the variants
-    # that were *not* executed (replicated members and memo hits) on the
-    # real engines and hard-fail on any disagreement.  The audit RNG is
-    # derived from (seed, step) like everything else, so audits are
-    # deterministic and identical across jobs/backends -- and it never
-    # touches the campaign RNG, so audited reports stay bit-identical.
+    # Randomized audit: re-execute a sampled fraction of the variants --
+    # replicated members, memo hits and executed ones alike -- unpruned,
+    # so every sampled run goes to its end instead of stopping where it
+    # rejoins the reference, and hard-fail on any disagreement.  The
+    # audit RNG is derived from (seed, step) like everything else, so
+    # audits are deterministic and identical across jobs/backends -- and
+    # it never touches the campaign RNG, so audited reports stay
+    # bit-identical.
     audit_runs = 0
-    audit_pool = sorted(replicated + memoized)
-    if config.prune_audit > 0.0 and audit_pool:
+    if config.prune_audit > 0.0:
         audit_rng = random.Random(f"{config.seed}:prune-audit:{s}")
-        sampled = [position for position in audit_pool
+        sampled = [position for position in range(len(faults))
                    if audit_rng.random() < config.prune_audit]
         if sampled:
             audit_runs = len(sampled)
             subset = [faults[position] for position in sampled]
-            actual = _run_faults(program, config, reference, budget, s,
-                                 base, subset)
+            actual = _run_faults(program, _dc_replace(config, prune=False),
+                                 reference, budget, s, base, subset)
             for position, outcome in zip(sampled, actual):
                 if outcome != results[position]:
                     raise PruneAuditError(

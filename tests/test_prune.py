@@ -15,10 +15,11 @@ pin that contract three ways:
   ones on every workload kernel, every backend, process pools, and
   across journal resume in both directions (pruned journal resumed
   unpruned and vice versa);
-* the safety nets -- the randomized audit re-executes pruned variants
-  and hard-fails on a planted wrong outcome, the memo sidecar round-
-  trips and silently ignores foreign files, and the PR-5 metrics
-  counters account for every variant.
+* the safety nets -- the randomized audit re-executes variants
+  unpruned and hard-fails on a planted wrong outcome or a truncated
+  live-register view, the memo sidecar round-trips and silently ignores
+  foreign files, and the PR-5 metrics counters account for every
+  variant.
 """
 
 import os
@@ -295,6 +296,28 @@ class TestAudit:
         key = next(iter(memo.table))
         memo.table[key] = [memo.table[key][0], memo.table[key][1],
                            memo.table[key][2] + 1]
+        with pytest.raises(PruneAuditError, match="prune audit mismatch"):
+            run_campaign(program, config)
+
+    def test_audit_catches_truncated_liveness_view(self, monkeypatch):
+        # A live-register view that keeps only the program counters
+        # stops executed runs early while a corruption is still live;
+        # the audit re-runs them to their end and must disagree.
+        from operator import itemgetter
+
+        from repro.core.registers import PC_B, PC_G
+        from repro.injection.campaign import Recording
+
+        program = compile_kernel("vpr", "ft").program
+        config = CampaignConfig(max_injection_steps=5,
+                                max_sites_per_step=None,
+                                max_values_per_site=1, seed=20260808,
+                                prune=True, prune_audit=1.0)
+        _fresh_memo(program, config)
+        run_campaign(program, config)  # the true view passes
+        _fresh_memo(program, config)
+        monkeypatch.setattr(Recording, "live_at",
+                            lambda self, step: itemgetter(PC_G, PC_B))
         with pytest.raises(PruneAuditError, match="prune audit mismatch"):
             run_campaign(program, config)
 
