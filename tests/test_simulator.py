@@ -36,6 +36,134 @@ from repro.workloads import ALL_KERNELS, compile_kernel
 G, B = Color.GREEN, Color.BLUE
 
 
+#: Stall causes in the order the issue loop checks them, then the flush.
+CAUSES = ("port", "operand", "queue-forward", "queue-full", "branch-flush")
+
+#: The six kernels of the store-queue and issue-width ablations.
+ABLATION_KERNELS = ("vpr", "gcc", "jpeg", "epic", "twolf", "mpeg2")
+
+#: Simulation name -> (build, machine).  The first three are Figure 10's;
+#: the ``baseline/`` and ``ft/`` rows each change one knob of the default.
+SIMULATIONS = {
+    "baseline": ("baseline", DEFAULT_CONFIG),
+    "ordered": ("ft", DEFAULT_CONFIG),
+    "relaxed": ("ft", RELAXED_CONFIG),
+    **{
+        f"{build}/{name}": (build, MachineConfig(**knob))
+        for build in ("baseline", "ft")
+        for name, knob in (("width1", {"issue_width": 1}),
+                           ("depth1", {"store_queue_depth": 1}),
+                           ("penalty0", {"branch_penalty": 0}),
+                           ("forward8", {"queue_forward_latency": 8}))
+    },
+}
+
+#: (kernel, simulation) -> (cycles, instructions, then the stall cycles of
+#: each cause in CAUSES, None where the cause never stalled), recorded
+#: with the per-cycle issue loop before stalls were charged in closed form.
+PINNED = {
+    ("gzip", "baseline"): (57365, 78051, 3356, 26064, None, None, 20958),
+    ("gzip", "ordered"): (78623, 156101, 20862, 29746, 70, None, 20958),
+    ("gzip", "relaxed"): (78425, 156101, 20990, 29490, None, None, 20958),
+    ("vpr", "baseline"): (1561, 2013, 15, 977, None, None, 426),
+    ("vpr", "ordered"): (2064, 4025, 423, 1057, 15, None, 426),
+    ("vpr", "relaxed"): (2017, 4025, 519, 929, None, None, 426),
+    ("gcc", "baseline"): (3392, 3174, 56, 1635, None, None, 1275),
+    ("gcc", "ordered"): (4581, 6347, 838, 2041, 1, None, 1275),
+    ("gcc", "relaxed"): (4499, 6347, 902, 1896, None, None, 1275),
+    ("mcf", "baseline"): (11008, 12667, 423, 7112, None, None, 2604),
+    ("mcf", "ordered"): (13896, 25333, 2532, 7744, 98, 49, 2604),
+    ("mcf", "relaxed"): (13799, 25333, 2517, 7809, None, None, 2604),
+    ("crafty", "baseline"): (9985, 10327, 259, 3613, None, None, 4584),
+    ("crafty", "ordered"): (14146, 20653, 3614, 4401, 17, 1, 4584),
+    ("crafty", "relaxed"): (14113, 20653, 3647, 4353, None, None, 4584),
+    ("parser", "baseline"): (5660, 6523, 290, 2305, None, None, 2298),
+    ("parser", "ordered"): (8126, 13045, 1949, 3080, 32, None, 2298),
+    ("parser", "relaxed"): (7966, 13045, 2077, 2824, None, None, 2298),
+    ("vortex", "baseline"): (4907, 5843, 231, 2635, None, None, 1530),
+    ("vortex", "ordered"): (6670, 11685, 1498, 3082, 49, None, 1530),
+    ("vortex", "relaxed"): (6557, 11685, 1562, 2954, None, None, 1530),
+    ("bzip2", "baseline"): (15863, 16281, 67, 10051, None, None, 4308),
+    ("bzip2", "ordered"): (20526, 32561, 2889, 11293, 599, None, 4308),
+    ("bzip2", "relaxed"): (19863, 32561, 2953, 11165, None, None, 4308),
+    ("twolf", "baseline"): (3609, 4715, 75, 2137, None, None, 1047),
+    ("twolf", "ordered"): (4678, 9429, 1052, 2057, 120, 52, 1047),
+    ("twolf", "relaxed"): (4609, 9429, 1187, 2025, None, None, 1047),
+    ("go", "baseline"): (114821, 100890, 2156, 53812, None, None, 44139),
+    ("go", "ordered"): (151919, 201779, 26290, 66712, 64, None, 44139),
+    ("go", "relaxed"): (151855, 201779, 26350, 66652, None, None, 44139),
+    ("adpcm", "baseline"): (6344, 6685, 74, 3569, None, None, 2025),
+    ("adpcm", "ordered"): (8297, 13369, 1550, 4046, None, None, 2025),
+    ("adpcm", "relaxed"): (8233, 13369, 1614, 3918, None, None, 2025),
+    ("epic", "baseline"): (2045, 3434, None, 1540, None, None, 378),
+    ("epic", "ordered"): (2669, 6867, 674, 1490, None, None, 378),
+    ("epic", "relaxed"): (2665, 6867, 918, 1242, None, None, 378),
+    ("g721", "baseline"): (14017, 12419, 414, 6818, None, None, 5088),
+    ("g721", "ordered"): (19133, 24837, 3420, 8864, 64, None, 5088),
+    ("g721", "relaxed"): (19005, 24837, 3484, 8736, None, None, 5088),
+    ("jpeg", "baseline"): (1205, 2130, 120, 788, None, None, 222),
+    ("jpeg", "ordered"): (1726, 4259, 502, 897, 10, 20, 222),
+    ("jpeg", "relaxed"): (1673, 4259, 610, 766, None, None, 222),
+    ("mpeg2", "baseline"): (4920, 5556, 59, 2984, None, None, 1407),
+    ("mpeg2", "ordered"): (6447, 11111, 1133, 3428, 9, None, 1407),
+    ("mpeg2", "relaxed"): (6310, 11111, 1261, 3172, None, None, 1407),
+    ("gsm", "baseline"): (8805, 9512, 8, 6500, None, None, 1722),
+    ("gsm", "ordered"): (10653, 19023, 1703, 6645, 8, None, 1722),
+    ("gsm", "relaxed"): (10581, 19023, 1767, 6517, None, None, 1722),
+    ("pegwit", "baseline"): (3195, 3389, 59, 1611, None, None, 1143),
+    ("pegwit", "ordered"): (4256, 6777, 899, 1816, 16, None, 1143),
+    ("pegwit", "relaxed"): (4224, 6777, 931, 1768, None, None, 1143),
+    ("vpr", "baseline/width1"): (2598, 2013, 1870, 159, None, None, 426),
+    ("vpr", "baseline/depth1"): (1561, 2013, 15, 977, None, None, 426),
+    ("vpr", "baseline/penalty0"): (1135, 2013, 15, 977, None, None, 0),
+    ("vpr", "baseline/forward8"): (1561, 2013, 15, 977, None, None, 426),
+    ("vpr", "ft/width1"): (4750, 4025, 3882, 299, None, None, 426),
+    ("vpr", "ft/depth1"): (2064, 4025, 423, 1057, 15, None, 426),
+    ("vpr", "ft/penalty0"): (1638, 4025, 423, 1057, 15, None, 0),
+    ("vpr", "ft/forward8"): (2714, 4025, 438, 993, 697, 17, 426),
+    ("gcc", "baseline/width1"): (4757, 3174, 2748, 308, None, None, 1275),
+    ("gcc", "baseline/depth1"): (3392, 3174, 56, 1635, None, None, 1275),
+    ("gcc", "baseline/penalty0"): (2117, 3174, 56, 1635, None, None, 0),
+    ("gcc", "baseline/forward8"): (3392, 3174, 56, 1635, None, None, 1275),
+    ("gcc", "ft/width1"): (8368, 6347, 5921, 746, None, None, 1275),
+    ("gcc", "ft/depth1"): (4582, 6347, 837, 2041, 2, 1, 1275),
+    ("gcc", "ft/penalty0"): (3306, 6347, 838, 2041, 1, None, 0),
+    ("gcc", "ft/forward8"): (5162, 6347, 838, 2041, 582, None, 1275),
+    ("jpeg", "baseline/width1"): (2496, 2130, 2055, 144, None, None, 222),
+    ("jpeg", "baseline/depth1"): (1205, 2130, 120, 788, None, None, 222),
+    ("jpeg", "baseline/penalty0"): (983, 2130, 120, 788, None, None, 0),
+    ("jpeg", "baseline/forward8"): (1205, 2130, 120, 788, None, None, 222),
+    ("jpeg", "ft/width1"): (4699, 4259, 4184, 218, None, None, 222),
+    ("jpeg", "ft/depth1"): (1729, 4259, 490, 894, 16, 32, 222),
+    ("jpeg", "ft/penalty0"): (1504, 4259, 502, 897, 10, 20, 0),
+    ("jpeg", "ft/forward8"): (2602, 4259, 475, 894, 895, 41, 222),
+    ("epic", "baseline/width1"): (3940, 3434, 3307, 128, None, None, 378),
+    ("epic", "baseline/depth1"): (2045, 3434, None, 1540, None, None, 378),
+    ("epic", "baseline/penalty0"): (1667, 3434, None, 1540, None, None, 0),
+    ("epic", "baseline/forward8"): (2045, 3434, None, 1540, None, None, 378),
+    ("epic", "ft/width1"): (7559, 6867, 6740, 314, None, None, 378),
+    ("epic", "ft/depth1"): (2669, 6867, 674, 1490, None, None, 378),
+    ("epic", "ft/penalty0"): (2291, 6867, 674, 1490, None, None, 0),
+    ("epic", "ft/forward8"): (3537, 6867, 674, 1490, 868, None, 378),
+    ("twolf", "baseline/width1"): (5914, 4715, 4365, 152, None, None, 1047),
+    ("twolf", "baseline/depth1"): (3609, 4715, 75, 2137, None, None, 1047),
+    ("twolf", "baseline/penalty0"): (2562, 4715, 75, 2137, None, None, 0),
+    ("twolf", "baseline/forward8"): (3609, 4715, 75, 2137, None, None, 1047),
+    ("twolf", "ft/width1"): (11052, 9429, 9079, 576, None, None, 1047),
+    ("twolf", "ft/depth1"): (4693, 9429, 1037, 2057, 135, 67, 1047),
+    ("twolf", "ft/penalty0"): (3631, 9429, 1052, 2057, 120, 52, 0),
+    ("twolf", "ft/forward8"): (5735, 9429, 1052, 2057, 1177, 52, 1047),
+    ("mpeg2", "baseline/width1"): (7475, 5556, 5086, 512, None, None, 1407),
+    ("mpeg2", "baseline/depth1"): (4920, 5556, 59, 2984, None, None, 1407),
+    ("mpeg2", "baseline/penalty0"): (3513, 5556, 59, 2984, None, None, 0),
+    ("mpeg2", "baseline/forward8"): (4920, 5556, 59, 2984, None, None, 1407),
+    ("mpeg2", "ft/width1"): (13558, 11111, 10641, 1040, None, None, 1407),
+    ("mpeg2", "ft/depth1"): (6448, 11111, 1132, 3428, 10, 1, 1407),
+    ("mpeg2", "ft/penalty0"): (5040, 11111, 1133, 3428, 9, None, 0),
+    ("mpeg2", "ft/forward8"): (7413, 11111, 1133, 3428, 975, None, 1407),
+}
+
+
 class TestDeps:
     def test_kinds(self):
         assert kind_of(ArithRRR("add", "r1", "r2", "r3")) == "alu"
@@ -160,6 +288,65 @@ class TestIssueModel:
         slow = time_stream(pair, MachineConfig(queue_forward_latency=8))
         fast = time_stream(pair, MachineConfig(queue_forward_latency=0))
         assert slow.cycles > fast.cycles
+
+
+class TestPinnedTiming:
+    """Every cycle-derived number of Figure 10 and the ablations, pinned."""
+
+    @staticmethod
+    def _check(name, simulation):
+        build, config = SIMULATIONS[simulation]
+        result = simulate(compile_kernel(name, build), config)
+        cycles, instructions, *stalls = PINNED[name, simulation]
+        assert (result.cycles, result.instructions) == (cycles, instructions)
+        assert result.stalls == {
+            cause: count for cause, count in zip(CAUSES, stalls)
+            if count is not None
+        }
+
+    @pytest.mark.parametrize("name", ALL_KERNELS)
+    def test_figure10_simulations(self, name):
+        for simulation in ("baseline", "ordered", "relaxed"):
+            self._check(name, simulation)
+
+    @pytest.mark.parametrize("name", ABLATION_KERNELS)
+    def test_ablation_machines(self, name):
+        for simulation in SIMULATIONS:
+            if "/" in simulation:
+                self._check(name, simulation)
+
+    def test_table_covers_every_simulation(self):
+        expected = {(name, simulation) for name in ALL_KERNELS
+                    for simulation in ("baseline", "ordered", "relaxed")}
+        expected |= {(name, simulation) for name in ABLATION_KERNELS
+                     for simulation in SIMULATIONS if "/" in simulation}
+        assert set(PINNED) == expected
+
+
+class TestStoreQueueBehaviours:
+    """Two behaviours the pinned cycles depend on, on hand-built streams."""
+
+    def test_blue_store_frees_the_smallest_entry(self):
+        """A blue store overwrites the smallest occupancy entry even when
+        that is a committed store not yet filtered out, so its partner's
+        placeholder stays in the queue.  Here the second pair leaks one:
+        the fourth green store waits it out (~1,000,000 cycles)."""
+        green_store = (Store(G, "r2", "r1"), False)
+        blue_store = (Store(B, "r4", "r3"), False)
+        stream = [green_store, blue_store, green_store, blue_store,
+                  green_store, green_store]
+        result = time_stream(stream, MachineConfig(store_queue_depth=2))
+        assert (result.cycles, result.instructions) == (1_000_002, 6)
+        assert list(result.stalls.items()) == [
+            ("queue-forward", 1), ("port", 1), ("queue-full", 999_999)]
+
+    def test_zero_penalty_taken_transfer_records_flush(self):
+        """A taken transfer under ``branch_penalty=0`` still records a
+        ``branch-flush`` entry, of 0 cycles."""
+        stream = [(Jmp(B, "r1"), True), (Mov("r1", green(1)), False)]
+        result = time_stream(stream, MachineConfig(branch_penalty=0))
+        assert (result.cycles, result.instructions) == (2, 2)
+        assert result.stalls == {"branch-flush": 0}
 
 
 class TestRunner:
