@@ -1,7 +1,7 @@
 """Timing simulation: the Itanium-2-flavored machine behind Figure 10."""
 
 from repro.simulator.config import DEFAULT_CONFIG, RELAXED_CONFIG, MachineConfig
-from repro.simulator.pipeline import IssueModel, TimingResult, time_stream
+from repro.simulator.pipeline import TimingResult, time_stream
 from repro.simulator.runner import (
     BlockInstance,
     build_schedules,
@@ -14,7 +14,6 @@ from repro.simulator.schedule import dependence_edges, schedule_block, schedule_
 __all__ = [
     "BlockInstance",
     "DEFAULT_CONFIG",
-    "IssueModel",
     "MachineConfig",
     "RELAXED_CONFIG",
     "TimingResult",

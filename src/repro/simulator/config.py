@@ -54,6 +54,24 @@ class MachineConfig:
     #: in-order structures.
     relaxed_pairing: bool = False
 
+    def __post_init__(self) -> None:
+        # A zero width, port count or queue depth would stall forever; a
+        # negative delay would move the clock backwards.
+        for name in ("issue_width", "load_ports", "store_ports",
+                     "branch_ports", "store_queue_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("branch_penalty", "queue_forward_latency",
+                     "dest_forward_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be at least 0, got {getattr(self, name)}")
+        negative = {kind: cycles for kind, cycles in self.latencies.items()
+                    if cycles < 0}
+        if negative:
+            raise ValueError(f"latencies must be at least 0, got {negative}")
+
     def latency(self, kind: str) -> int:
         return self.latencies[kind]
 

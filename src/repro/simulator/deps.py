@@ -62,8 +62,6 @@ def reads_of(instruction: Instruction) -> Tuple[str, ...]:
             return (instruction.rd, DEST)
         return (instruction.rd,)
     if isinstance(instruction, Bz):
-        if instruction.color is Color.BLUE:
-            return (instruction.rz, instruction.rd, DEST)
         return (instruction.rz, instruction.rd, DEST)
     if isinstance(instruction, PlainJmp):
         return (instruction.rd,)
@@ -77,12 +75,8 @@ def writes_of(instruction: Instruction) -> Tuple[str, ...]:
         return (instruction.rd,)
     if isinstance(instruction, (Load, PlainLoad)):
         return (instruction.rd,)
-    if isinstance(instruction, Jmp):
-        if instruction.color is Color.GREEN:
-            return (DEST,)
-        return (DEST,)  # jmpB resets d
-    if isinstance(instruction, Bz):
-        return (DEST,)  # bzG may set d; bzB resets it
+    if isinstance(instruction, (Jmp, Bz)):
+        return (DEST,)  # jmpG/bzG may set d; jmpB/bzB reset it
     return ()
 
 

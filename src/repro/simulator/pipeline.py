@@ -13,6 +13,28 @@ A simple but faithful EPIC-style timing model:
 * a *taken* transfer flushes the front end: the next instruction issues no
   earlier than ``branch_penalty`` cycles later.
 
+Each stalled cycle is charged to the first condition that blocks, and the
+stalls are charged in closed form rather than one cycle at a time.  No
+condition can block again once a later one is waited out, because every
+port counter is zero after a stall cycle and ready times and the queue
+only change when something issues.  In order, an instruction takes:
+
+1. one ``port`` cycle if the issue width or its port is used up this
+   cycle (widths and port counts are at least 1);
+2. ``operand`` cycles up to the latest ready cycle of the registers it
+   reads;
+3. (blue store) ``queue-forward`` cycles up to the cycle the oldest
+   pending green store becomes readable;
+4. (green store) ``queue-full`` cycles up to ``busy[len(busy) - depth]``
+   of the sorted queue occupancy, once entries completing at or before
+   the current cycle are dropped: the completion that leaves one free
+   entry.
+
+A green store's entry holds a placeholder completion ``issue + 1,000,000``
+until a blue store issues and overwrites the *smallest* entry with its own
+completion.  That entry can be a committed store not yet dropped, in
+which case the placeholder stays (ROADMAP records this leak).
+
 The model is deliberately independent of the functional semantics: it
 consumes the dynamic block path recorded by the runner plus the static
 per-block schedules, which is what lets it time the *relaxed* ("without
@@ -26,169 +48,23 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.instructions import Instruction
+from repro.core.registers import DEST
 from repro.simulator.config import MachineConfig
 from repro.simulator.deps import (
     is_blue_store,
+    is_green_control,
     is_green_store,
     kind_of,
     reads_of,
     writes_of,
 )
 
+#: Port class of each latency class: 0 is limited by the issue width
+#: alone, then the load, store and branch ports.
+_PORT = {"alu": 0, "mul": 0, "halt": 0, "load": 1, "store": 2, "branch": 3}
 
-@dataclass
-class PipelineState:
-    """Mutable scoreboard threaded across block instances."""
-
-    cycle: int = 0
-    reg_ready: Dict[str, int] = field(default_factory=dict)
-    issued_in_cycle: int = 0
-    loads_in_cycle: int = 0
-    stores_in_cycle: int = 0
-    branches_in_cycle: int = 0
-    #: Completion cycles of in-flight green stores (queue occupancy).
-    queue_busy_until: List[int] = field(default_factory=list)
-    #: FIFO of cycles at which pending green stores become readable by
-    #: their blue partner's compare (queue forwarding).
-    queue_forward_ready: List[int] = field(default_factory=list)
-    instructions: int = 0
-    #: Cycles lost per cause: operand / port / queue-full / queue-forward /
-    #: branch-flush.
-    stalls: Dict[str, int] = field(default_factory=dict)
-
-    def charge_stall(self, cause: str) -> None:
-        self.stalls[cause] = self.stalls.get(cause, 0) + 1
-
-    def advance_cycle(self) -> None:
-        self.cycle += 1
-        self.issued_in_cycle = 0
-        self.loads_in_cycle = 0
-        self.stores_in_cycle = 0
-        self.branches_in_cycle = 0
-
-
-class IssueModel:
-    """Issues instructions against a :class:`MachineConfig`."""
-
-    def __init__(self, config: MachineConfig):
-        self.config = config
-        self.state = PipelineState()
-
-    # -- helpers ---------------------------------------------------------
-
-    def _port_free(self, kind: str) -> bool:
-        state = self.state
-        config = self.config
-        if state.issued_in_cycle >= config.issue_width:
-            return False
-        if kind == "load" and state.loads_in_cycle >= config.load_ports:
-            return False
-        if kind == "store" and state.stores_in_cycle >= config.store_ports:
-            return False
-        if kind == "branch" and \
-                state.branches_in_cycle >= config.branch_ports:
-            return False
-        return True
-
-    def _registers_ready(self, instruction: Instruction) -> bool:
-        ready = self.state.reg_ready
-        return all(
-            ready.get(reg, 0) <= self.state.cycle
-            for reg in reads_of(instruction)
-        )
-
-    def _queue_forward_ready(self, instruction: Instruction) -> bool:
-        # The blue store's compare reads the queue entry its green partner
-        # wrote; this forwarding has latency (smaller for the relaxed
-        # machine's correlation buffer -- set via the config).
-        return not (
-            is_blue_store(instruction)
-            and self.state.queue_forward_ready
-            and self.state.queue_forward_ready[0] > self.state.cycle
-        )
-
-    def _queue_has_room(self) -> bool:
-        state = self.state
-        state.queue_busy_until = [
-            done for done in state.queue_busy_until if done > state.cycle
-        ]
-        return len(state.queue_busy_until) < self.config.store_queue_depth
-
-    # -- issue -------------------------------------------------------------
-
-    def issue(self, instruction: Instruction, taken: bool = False) -> int:
-        """Issue one instruction; returns the cycle it issued in.
-
-        ``taken`` marks a control transfer that actually redirected fetch
-        (applies the front-end refill penalty afterwards).
-        """
-        state = self.state
-        kind = kind_of(instruction)
-        while True:
-            if not self._port_free(kind):
-                state.charge_stall("port")
-                state.advance_cycle()
-                continue
-            if not self._registers_ready(instruction):
-                state.charge_stall("operand")
-                state.advance_cycle()
-                continue
-            if not self._queue_forward_ready(instruction):
-                state.charge_stall("queue-forward")
-                state.advance_cycle()
-                continue
-            if is_green_store(instruction) and not self._queue_has_room():
-                state.charge_stall("queue-full")
-                state.advance_cycle()
-                continue
-            break
-        issued_at = state.cycle
-        latency = self.config.latency(kind)
-        from repro.simulator.deps import is_green_control
-
-        dest_latency = (
-            self.config.dest_forward_latency
-            if is_green_control(instruction) else latency
-        )
-        for reg in writes_of(instruction):
-            if reg == "d":
-                state.reg_ready[reg] = issued_at + dest_latency
-            else:
-                state.reg_ready[reg] = issued_at + latency
-        state.issued_in_cycle += 1
-        state.instructions += 1
-        if kind == "load":
-            state.loads_in_cycle += 1
-        elif kind == "store":
-            state.stores_in_cycle += 1
-            if is_green_store(instruction):
-                # Entry lives until the matching blue store commits; model
-                # that as a generous fixed residency tied to the pair
-                # completing (updated when the blue store issues).
-                state.queue_busy_until.append(issued_at + 1_000_000)
-                state.queue_forward_ready.append(
-                    issued_at + self.config.queue_forward_latency
-                )
-            elif is_blue_store(instruction):
-                if state.queue_busy_until:
-                    # Free the oldest entry when the pair commits.
-                    state.queue_busy_until[0] = issued_at + latency
-                    state.queue_busy_until.sort()
-                if state.queue_forward_ready:
-                    state.queue_forward_ready.pop(0)
-        elif kind == "branch":
-            state.branches_in_cycle += 1
-        if taken:
-            # Flush: nothing issues until the refill completes.
-            state.stalls["branch-flush"] = (
-                state.stalls.get("branch-flush", 0) + self.config.branch_penalty
-            )
-            state.cycle = issued_at + 1 + self.config.branch_penalty
-            state.issued_in_cycle = 0
-            state.loads_in_cycle = 0
-            state.stores_in_cycle = 0
-            state.branches_in_cycle = 0
-        return issued_at
+#: Cycles a green store's queue entry waits for a blue store to free it.
+_PLACEHOLDER = 1_000_000
 
 
 @dataclass
@@ -205,18 +81,113 @@ class TimingResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
+def _decode(instruction: Instruction, config: MachineConfig) -> Tuple:
+    """What issuing ``instruction`` needs: the instruction itself (so its
+    ``id`` stays taken while it is memoized), its port class, the registers
+    it reads, ``(register, ready latency)`` per write, and its store colour
+    (1 green, -1 blue, 0 neither)."""
+    kind = kind_of(instruction)
+    latency = config.latency(kind)
+    dest_latency = (
+        config.dest_forward_latency
+        if is_green_control(instruction) else latency
+    )
+    writes = tuple(
+        (reg, dest_latency if reg == DEST else latency)
+        for reg in writes_of(instruction)
+    )
+    colour = (
+        1 if is_green_store(instruction)
+        else -1 if is_blue_store(instruction) else 0
+    )
+    return instruction, _PORT[kind], reads_of(instruction), writes, colour
+
+
 def time_stream(
     stream: Iterable[Tuple[Instruction, bool]],
     config: MachineConfig,
 ) -> TimingResult:
-    """Cycles to issue a stream of (instruction, taken) pairs."""
-    model = IssueModel(config)
-    last = 0
+    """Cycles to issue a stream of (instruction, taken) pairs.
+
+    ``taken`` marks a control transfer that actually redirected fetch
+    (applies the front-end refill penalty afterwards).
+    """
+    width = config.issue_width
+    limits = (width, config.load_ports, config.store_ports,
+              config.branch_ports)
+    depth = config.store_queue_depth
+    store_latency = config.latency("store")
+    forward_latency = config.queue_forward_latency
+    penalty = config.branch_penalty
+    decoded: Dict[int, Tuple] = {}
+    ready: Dict[str, int] = {}
+    ready_get = ready.get
+    #: Completion cycles of in-flight green stores (queue occupancy).
+    busy: List[int] = []
+    #: FIFO of cycles at which pending green stores become readable by
+    #: their blue partner's compare (queue forwarding).
+    forward: List[int] = []
+    stalls: Dict[str, int] = {}
+    cycle = issued = instructions = last = 0
+    used = [0, 0, 0, 0]  # issued this cycle, per port class
     for instruction, taken in stream:
-        last = model.issue(instruction, taken)
+        entry = decoded.get(id(instruction))
+        if entry is None:
+            entry = decoded[id(instruction)] = _decode(instruction, config)
+        _, port, reads, writes, colour = entry
+        start = cycle
+        if issued >= width or used[port] >= limits[port]:
+            stalls["port"] = stalls.get("port", 0) + 1
+            start += 1
+        operands = start
+        for reg in reads:
+            at = ready_get(reg, 0)
+            if at > operands:
+                operands = at
+        if operands > start:
+            stalls["operand"] = stalls.get("operand", 0) + operands - start
+            start = operands
+        if colour < 0:
+            if forward and forward[0] > start:
+                stalls["queue-forward"] = (
+                    stalls.get("queue-forward", 0) + forward[0] - start
+                )
+                start = forward[0]
+        elif colour:
+            busy = [done for done in busy if done > start]
+            if len(busy) >= depth:
+                # sorted(): a store latency above the placeholder's can
+                # leave a placeholder ahead of a later completion.
+                free = sorted(busy)[len(busy) - depth]
+                stalls["queue-full"] = (
+                    stalls.get("queue-full", 0) + free - start
+                )
+                start = free
+                busy = [done for done in busy if done > start]
+        if start != cycle:
+            cycle = start
+            issued = 0
+            used = [0, 0, 0, 0]
+        for reg, latency in writes:
+            ready[reg] = cycle + latency
+        issued += 1
+        used[port] += 1
+        instructions += 1
+        if colour > 0:
+            busy.append(cycle + _PLACEHOLDER)
+            forward.append(cycle + forward_latency)
+        elif colour:
+            if busy:
+                busy[0] = cycle + store_latency
+                busy.sort()
+            if forward:
+                del forward[0]
+        last = cycle
+        if taken:
+            # Flush: nothing issues until the refill completes.
+            stalls["branch-flush"] = stalls.get("branch-flush", 0) + penalty
+            cycle += 1 + penalty
+            issued = 0
+            used = [0, 0, 0, 0]
     # Drain: account for the last instruction's latency.
-    return TimingResult(
-        cycles=max(model.state.cycle, last + 1),
-        instructions=model.state.instructions,
-        stalls=dict(model.state.stalls),
-    )
+    return TimingResult(max(cycle, last + 1), instructions, stalls)

@@ -205,15 +205,24 @@ def replay_stream(
     path: List[BlockInstance],
     schedules: Dict[str, List[int]],
 ) -> Iterator[Tuple[Instruction, bool]]:
-    """The scheduled dynamic instruction stream with taken-ness marks."""
+    """The scheduled dynamic instruction stream with taken-ness marks.
+
+    A path repeats few distinct block instances, so each distinct
+    ``(label, executed, taken)`` is laid out once per call."""
     instruction_cache = _block_instructions(compiled)
+    layouts: Dict[Tuple[str, int, bool], Tuple] = {}
     for instance in path:
-        order = schedule_prefix(schedules[instance.label], instance.executed)
-        instructions = instruction_cache[instance.label]
-        last_original = instance.executed - 1
-        for original_index in order:
-            taken = instance.taken and original_index == last_original
-            yield instructions[original_index], taken
+        key = (instance.label, instance.executed, instance.taken)
+        pairs = layouts.get(key)
+        if pairs is None:
+            instructions = instruction_cache[instance.label]
+            taken_index = instance.executed - 1 if instance.taken else -1
+            pairs = layouts[key] = tuple(
+                (instructions[index], index == taken_index)
+                for index in schedule_prefix(
+                    schedules[instance.label], instance.executed)
+            )
+        yield from pairs
 
 
 def simulate(

@@ -30,7 +30,6 @@ from repro.simulator.config import MachineConfig
 from repro.simulator.deps import (
     is_blue_store,
     is_commit_branch,
-    is_green_control,
     is_green_store,
     kind_of,
     reads_of,
@@ -53,19 +52,14 @@ def dependence_edges(
     last_store = -1
     last_load = -1
     last_branch = -1
-    green_control: List[int] = []
 
     for index, instruction in enumerate(instructions):
         reads = reads_of(instruction)
         writes = writes_of(instruction)
 
-        if relaxed and is_commit_branch(instruction) and green_control:
-            # Drop the d-mediated green-before-blue edge: the relaxed
-            # hardware correlates the pair in either order.  (The register
-            # dependence through d is skipped below instead.)
-            pass
-
         for reg in reads:
+            # The relaxed hardware correlates a control pair in either
+            # order: no d-mediated green-before-blue edge.
             if relaxed and reg == DEST:
                 continue
             if reg in last_write:
@@ -109,8 +103,6 @@ def dependence_edges(
             for earlier in range(index):
                 preds[index].add(earlier)
             last_branch = index
-        if is_green_control(instruction):
-            green_control.append(index)
 
         for reg in reads:
             last_reads.setdefault(reg, []).append(index)

@@ -1,8 +1,12 @@
 """Tests for the timing simulator: scheduling, issue model, runner."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core import (
+    DEST,
     ArithRRI,
     ArithRRR,
     Bz,
@@ -11,6 +15,10 @@ from repro.core import (
     Jmp,
     Load,
     Mov,
+    PlainBz,
+    PlainJmp,
+    PlainLoad,
+    PlainStore,
     Store,
     blue,
     green,
@@ -26,7 +34,14 @@ from repro.simulator import (
     simulate,
     time_stream,
 )
-from repro.simulator.deps import kind_of, reads_of, writes_of
+from repro.simulator.deps import (
+    is_blue_store,
+    is_green_control,
+    is_green_store,
+    kind_of,
+    reads_of,
+    writes_of,
+)
 from repro.compiler import compile_source
 from repro.exec import clear_exec_caches, get_compiled
 from repro.exec.fusion import LazyChain
@@ -340,6 +355,19 @@ class TestStoreQueueBehaviours:
         assert list(result.stalls.items()) == [
             ("queue-forward", 1), ("port", 1), ("queue-full", 999_999)]
 
+    def test_queue_full_stall_drops_the_entries_it_waited_out(self):
+        """The committed entries a full queue waited out are gone, so each
+        later blue store frees its own partner's placeholder and nothing
+        waits ~1,000,000 cycles."""
+        green_store = (Store(G, "r2", "r1"), False)
+        blue_store = (Store(B, "r4", "r3"), False)
+        stream = [green_store, blue_store, green_store, blue_store,
+                  green_store]
+        result = time_stream(stream, MachineConfig(store_queue_depth=1))
+        assert (result.cycles, result.instructions) == (5, 5)
+        assert list(result.stalls.items()) == [
+            ("queue-forward", 2), ("queue-full", 2)]
+
     def test_zero_penalty_taken_transfer_records_flush(self):
         """A taken transfer under ``branch_penalty=0`` still records a
         ``branch-flush`` entry, of 0 cycles."""
@@ -347,6 +375,159 @@ class TestStoreQueueBehaviours:
         result = time_stream(stream, MachineConfig(branch_penalty=0))
         assert (result.cycles, result.instructions) == (2, 2)
         assert result.stalls == {"branch-flush": 0}
+
+
+def _per_cycle_issue(stream, config):
+    """The issue loop as it was before stalls were charged in closed form:
+    the whole check sequence runs again on every stalled cycle.  Kept as
+    the oracle for :func:`time_stream`; returns (cycles, instructions,
+    stall items in insertion order)."""
+    ports = {"load": config.load_ports, "store": config.store_ports,
+             "branch": config.branch_ports}
+    cycle = issued = count = last = 0
+    used = dict.fromkeys(ports, 0)
+    ready, busy, forward, stalls = {}, [], [], {}
+    for instruction, taken in stream:
+        kind = kind_of(instruction)
+        green_store = is_green_store(instruction)
+        blue_store = is_blue_store(instruction)
+        while True:
+            if issued >= config.issue_width \
+                    or used.get(kind, 0) >= ports.get(kind, 1):
+                cause = "port"
+            elif any(ready.get(reg, 0) > cycle
+                     for reg in reads_of(instruction)):
+                cause = "operand"
+            elif blue_store and forward and forward[0] > cycle:
+                cause = "queue-forward"
+            elif green_store and len(busy := [
+                    done for done in busy if done > cycle
+            ]) >= config.store_queue_depth:
+                cause = "queue-full"
+            else:
+                break
+            stalls[cause] = stalls.get(cause, 0) + 1
+            cycle, issued, used = cycle + 1, 0, dict.fromkeys(ports, 0)
+        latency = config.latency(kind)
+        for reg in writes_of(instruction):
+            green_dest = reg == DEST and is_green_control(instruction)
+            ready[reg] = cycle + (
+                config.dest_forward_latency if green_dest else latency)
+        issued, count, last = issued + 1, count + 1, cycle
+        if kind in used:
+            used[kind] += 1
+        if green_store:
+            busy.append(cycle + 1_000_000)
+            forward.append(cycle + config.queue_forward_latency)
+        elif blue_store:
+            if busy:
+                busy[0] = cycle + latency
+                busy.sort()
+            if forward:
+                forward.pop(0)
+        if taken:
+            stalls["branch-flush"] = (
+                stalls.get("branch-flush", 0) + config.branch_penalty)
+            cycle, issued = cycle + 1 + config.branch_penalty, 0
+            used = dict.fromkeys(ports, 0)
+    return max(cycle, last + 1), count, list(stalls.items())
+
+
+def _random_instruction(rng):
+    reg = lambda: rng.choice(("r1", "r2", "r3", "r4"))  # noqa: E731
+    colour = rng.choice((G, B))
+    return rng.choice((
+        lambda: Mov(reg(), green(1)),
+        lambda: ArithRRR(rng.choice(("add", "mul")), reg(), reg(), reg()),
+        lambda: ArithRRI(rng.choice(("add", "mul")), reg(), reg(),
+                         green(2)),
+        lambda: Load(colour, reg(), reg()),
+        lambda: Store(colour, reg(), reg()),
+        lambda: Store(colour, reg(), reg()),
+        lambda: Jmp(colour, reg()),
+        lambda: Bz(colour, reg(), reg()),
+        lambda: PlainLoad(reg(), reg()),
+        lambda: PlainStore(reg(), reg()),
+        lambda: PlainJmp(reg()),
+        lambda: PlainBz(reg(), reg()),
+        lambda: Halt(),
+    ))()
+
+
+def _random_config(rng):
+    return MachineConfig(
+        issue_width=rng.randint(1, 3),
+        load_ports=rng.randint(1, 2),
+        store_ports=rng.randint(1, 2),
+        branch_ports=rng.randint(1, 2),
+        store_queue_depth=rng.randint(1, 3),
+        branch_penalty=rng.randint(0, 4),
+        queue_forward_latency=rng.randint(0, 8),
+        dest_forward_latency=rng.randint(0, 3),
+    )
+
+
+class TestClosedFormStalls:
+    def test_matches_per_cycle_loop_on_random_streams(self):
+        """Random streams on tiny machines: the closed-form loop charges
+        the per-cycle loop's cycles, instruction count and stalls, in the
+        same insertion order.  Streams timed at 1,000,000 cycles or more
+        (an unpaired green store waits out a placeholder entry) are not
+        walked cycle by cycle."""
+        rng = random.Random(20261017)
+        compared = 0
+        for _ in range(3000):
+            pool = [_random_instruction(rng)
+                    for _ in range(rng.randint(1, 8))]
+            stream = [(rng.choice(pool), rng.random() < 0.2)
+                      for _ in range(rng.randint(1, 30))]
+            config = _random_config(rng)
+            result = time_stream(stream, config)
+            if result.cycles >= 1_000_000:
+                continue
+            compared += 1
+            assert (result.cycles, result.instructions,
+                    list(result.stalls.items())) == \
+                _per_cycle_issue(stream, config), (stream, config)
+        assert compared > 2000
+
+    def test_decoding_survives_reused_ids(self):
+        """A stream of fresh objects frees each one after it issues, so
+        CPython hands its ``id`` to the next; decoding must not confuse
+        them."""
+        rng = random.Random(7)
+        for _ in range(200):
+            stream = [(_random_instruction(rng), rng.random() < 0.2)
+                      for _ in range(rng.randint(1, 30))]
+            config = _random_config(rng)
+            fresh = ((dataclasses.replace(instruction), taken)
+                     for instruction, taken in stream)
+            assert time_stream(fresh, config) == time_stream(stream, config)
+
+
+class TestMachineConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("issue_width", 0),
+        ("load_ports", 0),
+        ("store_ports", 0),
+        ("branch_ports", 0),
+        ("store_queue_depth", 0),
+        ("branch_penalty", -1),
+        ("queue_forward_latency", -1),
+        ("dest_forward_latency", -1),
+        ("latencies", {**DEFAULT_CONFIG.latencies, "load": -1}),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: value})
+
+    def test_accepts_the_smallest_machine(self):
+        config = MachineConfig(
+            issue_width=1, load_ports=1, store_ports=1, branch_ports=1,
+            store_queue_depth=1, branch_penalty=0, queue_forward_latency=0,
+            dest_forward_latency=0, latencies=dict.fromkeys(
+                DEFAULT_CONFIG.latencies, 0))
+        assert time_stream([(Halt(), False)], config).cycles == 1
 
 
 class TestRunner:
