@@ -74,8 +74,9 @@ SIMULATIONS = {
 }
 
 #: (kernel, simulation) -> (cycles, instructions, then the stall cycles of
-#: each cause in CAUSES, None where the cause never stalled), recorded
-#: with the per-cycle issue loop before stalls were charged in closed form.
+#: each cause in CAUSES, None where the stall dict has no entry for it),
+#: recorded with the per-cycle issue loop before stalls were charged in
+#: closed form.
 PINNED = {
     ("gzip", "baseline"): (57365, 78051, 3356, 26064, None, None, 20958),
     ("gzip", "ordered"): (78623, 156101, 20862, 29746, 70, None, 20958),
