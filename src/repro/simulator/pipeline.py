@@ -122,10 +122,10 @@ def time_stream(
     decoded: Dict[int, Tuple] = {}
     ready: Dict[str, int] = {}
     ready_get = ready.get
-    #: Completion cycles of in-flight green stores (queue occupancy).
+    # Completion cycles of in-flight green stores (queue occupancy).
     busy: List[int] = []
-    #: FIFO of cycles at which pending green stores become readable by
-    #: their blue partner's compare (queue forwarding).
+    # FIFO of cycles at which pending green stores become readable by
+    # their blue partner's compare (queue forwarding).
     forward: List[int] = []
     stalls: Dict[str, int] = {}
     cycle = issued = instructions = last = 0
