@@ -51,7 +51,10 @@ def _sra(x: int, y: int) -> int:
 
 
 #: Denotation of each ALU opcode.  All operate on unbounded Python integers,
-#: mirroring the paper's idealized integer words.
+#: mirroring the paper's idealized integer words.  Every op is total: a
+#: campaign's rejoin rule (``repro.injection.campaign._touches``) counts
+#: an ALU source as needed only when the result is, so an op that can
+#: fault must be made a needed use there.
 ALU_OPS: Dict[str, Callable[[int, int], int]] = {
     "add": lambda x, y: x + y,
     "sub": lambda x, y: x - y,

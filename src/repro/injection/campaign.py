@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 import random
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace as _dc_replace
 from operator import itemgetter
 from typing import (
@@ -498,6 +497,11 @@ QE_PUSH, QE_POP, QE_SCAN = range(3)
 (_LIVE_NONE, _LIVE_BRANCH, _LIVE_LOAD_GREEN, _LIVE_STORE_GREEN,
  _LIVE_STORE_BLUE, _LIVE_STORE_PLAIN, _LIVE_UNMODELED) = range(7)
 
+#: :meth:`Recording.live_at` keeps the live mask before every
+#: ``_LIVE_STRIDE``-th instruction; at the default checkpoint interval
+#: (32 steps) those are exactly the instructions the checkpoints fall on.
+_LIVE_STRIDE = 16
+
 
 class Recording:
     """What the fault-free walk recorded, one entry per executed
@@ -514,15 +518,17 @@ class Recording:
     every green/plain store address): a corrupt load address outside it
     is guaranteed out-of-bounds.  ``commit_addrs`` is every address the
     run commits to memory.  ``prunable`` is false when the run executed
-    something the pruner does not model.  ``views`` holds what consumers
-    derive from the recording (the vector engine's decoded schedule, the
-    scalar finisher's live registers per checkpoint); they live and die
-    with it.
+    something the pruner does not model.  ``liveness[pc]`` is the
+    liveness transfer of the instruction at each executed address, as
+    ``(kill, if_live, always)`` register names (see :func:`_touches`).
+    ``views`` holds what consumers derive from the recording (the vector
+    engine's decoded schedule, the scalar finisher's live registers per
+    checkpoint); they live and die with it.
     """
 
     __slots__ = ("reg_names", "pcs", "instrs", "reg_events", "queue_steps",
                  "queue_events", "universe", "commit_addrs", "steps",
-                 "prunable", "views")
+                 "prunable", "liveness", "views")
 
     def __init__(self, boot: MachineState):
         self.reg_names = tuple(boot.regs._regs)
@@ -536,6 +542,7 @@ class Recording:
         self.commit_addrs = set()
         self.steps = 0
         self.prunable = True
+        self.liveness: Dict[int, tuple] = {}
         self.views: Dict[str, object] = {}
 
     def pins(self, base: MachineState, step_index: int) -> bool:
@@ -556,42 +563,67 @@ class Recording:
         return base.ir is None
 
     def live_at(self, step: int) -> Callable:
-        """An ``itemgetter`` over the registers the reference still
-        consumes from step ``step`` on: the program counters and every
-        register whose next recorded touch at or after ``step`` is not a
-        WRITE.  A register outside it is overwritten before it is read
-        again, or never touched again, so its value cannot change the
-        rest of the run.  Only meaningful on a ``prunable`` recording
-        (the walk models every touch); cached in :attr:`views`."""
+        """An ``itemgetter`` over the registers the reference still needs
+        from step ``step`` on: the program counters and every register a
+        later load address, store, branch, jump or check still needs.  A
+        register outside it is overwritten before any such use or never
+        used again; at most it feeds ALU results that are themselves
+        never needed, and no ALU op can fault, so its value cannot change
+        the rest of the run.  Only meaningful on a ``prunable`` recording
+        (the walk models every instruction).  One backward pass
+        (:meth:`_live_masks`) runs on the first call; its masks and each
+        step's getter are cached in :attr:`views`."""
         cache = self.views.setdefault("live", {})
         getter = cache.get(step)
         if getter is None:
-            cursor = step << EV_BITS
-            names = [PC_G, PC_B]
-            for name, events in self.reg_events.items():
-                if name == PC_G or name == PC_B:
-                    continue
-                index = bisect_left(events, cursor)
-                if index < len(events) \
-                        and events[index] & EV_MASK != EV_WRITE:
-                    names.append(name)
-            getter = cache[step] = itemgetter(*names)
+            faint = self.views.get("live_masks")
+            if faint is None:
+                faint = self.views["live_masks"] = self._live_masks()
+            masks, transfer = faint
+            index = step // 2  # the instruction ``step`` falls on
+            kept = -(-index // _LIVE_STRIDE)
+            mask = _live_before(
+                masks[kept], self.pcs[index:kept * _LIVE_STRIDE], transfer)
+            getter = cache[step] = itemgetter(
+                *[name for bit, name in enumerate(self.reg_names)
+                  if mask >> bit & 1])
         return getter
 
+    def _live_masks(self) -> tuple:
+        """Faint-variable liveness, one backward pass over the executed
+        instructions: ``(masks, transfer)``, where ``masks[k]`` is the
+        live-register mask (bit ``i`` is ``reg_names[i]``) before
+        instruction ``k * _LIVE_STRIDE`` (0 past the last one) and
+        ``transfer`` maps an address to its transfer as bitmasks."""
+        bits = {name: 1 << bit for bit, name in enumerate(self.reg_names)}
+        transfer = {pc: _masks(uses, bits)
+                    for pc, uses in self.liveness.items()}.__getitem__
+        pcs = self.pcs
+        masks = [0] * (-(-len(pcs) // _LIVE_STRIDE) + 1)
+        live = 0
+        end = len(pcs)
+        for kept in range(len(masks) - 2, -1, -1):
+            start = kept * _LIVE_STRIDE
+            live = masks[kept] = _live_before(live, pcs[start:end],
+                                              transfer)
+            end = start
+        return masks, transfer
+
     def _template(self, instr) -> tuple:
-        """``instr``'s recording template: ``(live, events, taken_events,
-        reg)``.  First touches depend only on register names, so each
-        event is bound once to its register's array; ``live`` says what
-        must be read at run time (``reg`` holds the register it reads),
-        and a branch the reference takes records ``taken_events``
-        instead of ``events``."""
-        live, touches, taken, reg = _touches(instr)
+        """``instr``'s recording template ``(live, events, taken_events,
+        reg)`` and its liveness transfer.  First touches depend only on
+        register names, so each event is bound once to its register's
+        array; ``live`` says what must be read at run time (``reg`` holds
+        the register it reads), and a branch the reference takes records
+        ``taken_events`` instead of ``events``."""
+        live, touches, taken, reg, uses = _touches(instr)
         if reg is not None and reg not in self.reg_names:
             # The reference itself fails on the unknown register; the
             # walk must not fail first.
             live, touches, taken = _LIVE_UNMODELED, [], None
-        return (live, self._bind(touches),
-                self._bind(taken) if taken is not None else None, reg)
+        return ((live, self._bind(touches),
+                 self._bind(taken) if taken is not None else None, reg),
+                uses)
 
     def _bind(self, touches) -> tuple:
         seen = set()
@@ -614,6 +646,7 @@ class Recording:
         code = state.code
         queue = state.queue._pairs
         templates: Dict[int, tuple] = {}
+        liveness = self.liveness
         pcs_append = self.pcs.append
         queue_steps_append = self.queue_steps.append
         queue_events_append = self.queue_events.append
@@ -624,7 +657,8 @@ class Recording:
         def record(pc: int, t: int) -> None:
             template = templates.get(pc)
             if template is None:
-                template = templates[pc] = self._template(code[pc])
+                template, liveness[pc] = self._template(code[pc])
+                templates[pc] = template
             live, events, taken, reg = template
             pcs_append(pc)
             if live:
@@ -677,54 +711,94 @@ class Recording:
 
 def _touches(instr) -> tuple:
     """The pruner's register events of ``instr`` in the order
-    :mod:`repro.core.semantics` touches them, as ``(live, touches,
-    taken_touches, reg)`` (see :meth:`Recording._template`).  Only the
-    first touch counts: ``add r1, r1, r2`` *reads* a corrupt r1 before
-    overwriting it."""
+    :mod:`repro.core.semantics` touches them, and its liveness transfer,
+    as ``(live, touches, taken_touches, reg, uses)`` (see
+    :meth:`Recording._template`).  Only the first touch counts: ``add r1,
+    r1, r2`` *reads* a corrupt r1 before overwriting it.
+
+    ``uses`` is ``(kill, if_live, always)`` for :meth:`Recording.live_at`:
+    the registers the instruction overwrites, the ones it reads only into
+    them, and the ones it needs whatever follows -- a load address (a
+    corrupt one can trap or change a green load's queue scan), both store
+    operands, a branch condition, a jump or branch target and ``d`` at
+    every jump and branch (a branch's transfer covers both directions);
+    ``None`` needs every register.  An ALU op or ``mov`` reads its sources
+    only into ``rd``: this assumes every op in
+    :data:`repro.core.instructions.ALU_OPS` is total, so an op that can
+    fault must put its sources in ``always``."""
     if isinstance(instr, ArithRRR):
         return (_LIVE_NONE, [(instr.rs, EV_READ), (instr.rt, EV_READ),
-                             (instr.rd, EV_WRITE)], None, None)
+                             (instr.rd, EV_WRITE)], None, None,
+                ((instr.rd,), (instr.rs, instr.rt), ()))
     if isinstance(instr, ArithRRI):
         return (_LIVE_NONE, [(instr.rs, EV_READ), (instr.rd, EV_WRITE)],
-                None, None)
+                None, None, ((instr.rd,), (instr.rs,), ()))
     if isinstance(instr, Mov):
-        return _LIVE_NONE, [(instr.rd, EV_WRITE)], None, None
+        return (_LIVE_NONE, [(instr.rd, EV_WRITE)], None, None,
+                ((instr.rd,), (), ()))
     if isinstance(instr, Load):
         live = _LIVE_LOAD_GREEN if instr.color is Color.GREEN \
             else _LIVE_NONE
         return (live, [(instr.rs, EV_LOADADDR), (instr.rd, EV_WRITE)],
-                None, instr.rs)
+                None, instr.rs, ((instr.rd,), (), (instr.rs,)))
     if isinstance(instr, Store):
+        uses = ((), (), (instr.rd, instr.rs))
         if instr.color is not Color.GREEN:
             return (_LIVE_STORE_BLUE,
-                    [(instr.rd, EV_CHECK), (instr.rs, EV_CHECK)], None, None)
+                    [(instr.rd, EV_CHECK), (instr.rs, EV_CHECK)], None, None,
+                    uses)
         if instr.rd == instr.rs:
             touches = [(instr.rd, EV_SPAWN_BOTH)]
         else:
             touches = [(instr.rd, EV_SPAWN_ADDR), (instr.rs, EV_SPAWN_VAL)]
-        return _LIVE_STORE_GREEN, touches, None, instr.rd
+        return _LIVE_STORE_GREEN, touches, None, instr.rd, uses
     if isinstance(instr, Jmp):
-        return _LIVE_NONE, _transfer(instr.color, instr.rd), None, None
+        return (_LIVE_NONE, _transfer(instr.color, instr.rd), None, None,
+                ((), (), (DEST, instr.rd)))
     if isinstance(instr, Bz):
         return (_LIVE_BRANCH, [(instr.rz, EV_READ), (DEST, EV_CHECK)],
                 [(instr.rz, EV_READ)] + _transfer(instr.color, instr.rd),
-                instr.rz)
+                instr.rz, ((), (), (instr.rz, DEST, instr.rd)))
     if isinstance(instr, Halt):
-        return _LIVE_NONE, [], None, None
+        return _LIVE_NONE, [], None, None, ((), (), ())
     if isinstance(instr, PlainLoad):
         return (_LIVE_NONE, [(instr.rs, EV_LOADADDR), (instr.rd, EV_WRITE)],
-                None, None)
+                None, None, ((instr.rd,), (), (instr.rs,)))
     if isinstance(instr, PlainStore):
         return (_LIVE_STORE_PLAIN, [(instr.rd, EV_READ), (instr.rs, EV_READ)],
-                None, instr.rd)
+                None, instr.rd, ((), (), (instr.rd, instr.rs)))
     if isinstance(instr, PlainJmp):
         return (_LIVE_NONE, [(instr.rd, EV_READ), (PC_G, EV_WRITE),
-                             (PC_B, EV_WRITE)], None, None)
+                             (PC_B, EV_WRITE)], None, None,
+                ((), (), (instr.rd,)))
     if isinstance(instr, PlainBz):
         return (_LIVE_BRANCH, [(instr.rz, EV_READ)],
                 [(instr.rz, EV_READ), (instr.rd, EV_READ), (PC_G, EV_WRITE),
-                 (PC_B, EV_WRITE)], instr.rz)
-    return _LIVE_UNMODELED, [], None, None
+                 (PC_B, EV_WRITE)], instr.rz, ((), (), (instr.rz, instr.rd)))
+    return _LIVE_UNMODELED, [], None, None, None
+
+
+def _live_before(live: int, pcs: List[int], transfer: Callable) -> int:
+    """The live mask before the instructions at ``pcs``, given ``live``
+    after them: each one's transfer applied backwards."""
+    for kill, if_live, always in map(transfer, reversed(pcs)):
+        if live & kill:  # the destination is needed
+            live = live & ~kill | if_live | always
+        else:
+            live |= always
+    return live
+
+
+def _masks(uses, bits: Dict[str, int]) -> tuple:
+    """``uses`` (see :func:`_touches`) as bitmasks over ``bits``; a name
+    outside the bank has no value to compare.  Every fetch needs both
+    program counters."""
+    if uses is None:
+        return 0, 0, (1 << len(bits)) - 1
+    get = bits.get
+    kill, if_live, always = (sum({get(name, 0) for name in names})
+                             for names in uses)
+    return kill, if_live, always | bits[PC_G] | bits[PC_B]
 
 
 def _transfer(color: Color, rd: str) -> list:
@@ -1002,9 +1076,10 @@ def _rejoin_check(reference: ReferenceRun) -> Callable[[MachineState, int],
     """``rejoins(state, index)``: is ``state``, taken at the step of
     checkpoint ``index``, the reference run from there on?  It is when
     status, ``ir``, memory and the store queue are equal, and so is every
-    register the reference still reads (:meth:`Recording.live_at`): the
-    run then executes the reference's instructions on the reference's
-    values until it halts.  Without a prunable recording (an unrecorded
+    register a later load address, store, branch, jump or check still
+    needs (:meth:`Recording.live_at`): the run then executes the
+    reference's instructions, on the reference's values wherever they
+    matter, until it halts.  Without a prunable recording (an unrecorded
     run, or one that executed something the walk does not model) the
     whole register bank is compared."""
     checkpoints = reference.checkpoints

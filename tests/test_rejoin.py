@@ -10,9 +10,11 @@ These tests pin that contract:
 * record parity -- ``keep_records=True`` campaigns with pruning on and
   off give equal records on every kernel, FT and baseline.  Latency is
   outside the report fingerprint, so records are compared directly;
-* the rejoin rule -- a dead corruption rejoins at the first checkpoint, a
-  live one does not, and a reference without a prunable recording
-  compares the whole register bank;
+* the rejoin rule -- a dead corruption rejoins at the first checkpoint,
+  and so does one that only feeds ALU results nothing needs; a live one
+  (one a later load address, store, branch or jump needs) does not; a
+  reference without a prunable recording compares the whole register
+  bank;
 * handed-over lanes keep their output prefix, and STUCK and TIMEOUT runs
   keep their outcome and step count.
 """
@@ -21,7 +23,26 @@ from bisect import bisect_left
 
 import pytest
 
+from repro.core import (
+    ArithRRI,
+    ArithRRR,
+    B,
+    Bz,
+    G,
+    Halt,
+    Jmp,
+    Load,
+    Mov,
+    PlainBz,
+    PlainJmp,
+    PlainLoad,
+    PlainStore,
+    Store,
+    blue,
+    green,
+)
 from repro.core.faults import RegZap, apply_fault
+from repro.core.registers import DEST
 from repro.core.semantics import step as semantics_step
 from repro.exec import run_compiled
 from repro.injection import CampaignConfig, run_campaign
@@ -40,6 +61,7 @@ from repro.injection.campaign import (
 )
 from repro.injection.prune import _MEMO_TABLES
 from repro.observe import MetricsRegistry, set_registry
+from repro.program import Program
 from repro.workloads import ALL_KERNELS, compile_kernel
 from tests.helpers import countdown_loop_program, paper_store_program
 
@@ -168,6 +190,70 @@ def _both(program, config, reference, budget, step, fault):
     return pruned, plain, skipped
 
 
+_PAD = Mov("r7", green(0))
+
+#: Each ends the chain of :func:`_chain_program` in one use that needs
+#: r3 (2 in the reference, 0 once r1 is zapped to 5).  The use starts at
+#: address 13, which is fetched at step 24, the third checkpoint.
+_USES = {
+    "plain load address": [PlainLoad("r4", "r3"), Mov("r4", green(0))],
+    "green load address": [Load(G, "r4", "r3"), Mov("r4", green(0))],
+    "blue load address": [Load(B, "r4", "r3"), Mov("r4", green(0))],
+    "plain store address": [Mov("r5", green(7)), PlainStore("r3", "r5")],
+    "plain store value": [Mov("r5", green(256)), PlainStore("r5", "r3")],
+    "green store address": [Mov("r5", green(254)), Mov("r6", blue(256)),
+                            ArithRRR("add", "r5", "r5", "r3"),
+                            Store(G, "r5", "r6"), Store(B, "r6", "r6")],
+    "green store value": [Mov("r5", green(256)), Mov("r6", blue(256)),
+                          Mov("r8", blue(2)), Store(G, "r5", "r3"),
+                          Store(B, "r6", "r8")],
+    "blue store address": [Mov("r5", green(2)), Store(G, "r5", "r5"),
+                           Store(B, "r3", "r5")],
+    "blue store value": [Mov("r5", green(256)), Mov("r6", blue(256)),
+                         Mov("r8", green(2)), Store(G, "r5", "r8"),
+                         Store(B, "r6", "r3")],
+    "green bz condition": [Mov("r5", green(20)), Mov("r6", blue(20)),
+                           Mov("r8", blue(2)), Bz(G, "r3", "r5"),
+                           Bz(B, "r8", "r6")],
+    "blue bz condition": [Mov("r5", green(20)), Mov("r6", blue(20)),
+                          Mov("r8", green(2)), Bz(G, "r8", "r5"),
+                          Bz(B, "r3", "r6")],
+    "plain bz condition": [Mov("r5", green(17)), PlainBz("r3", "r5"),
+                           Mov("r6", green(256)), PlainStore("r6", "r6")],
+    "green bz target": [ArithRRI("add", "r3", "r3", green(16)),
+                        Mov("r8", green(0)), Mov("r6", blue(18)),
+                        Bz(G, "r8", "r3"), Bz(B, "r8", "r6")],
+    "blue bz target": [ArithRRI("add", "r3", "r3", green(16)),
+                       Mov("r8", green(0)), Mov("r5", green(18)),
+                       Bz(G, "r8", "r5"), Bz(B, "r8", "r3")],
+    "plain bz target": [ArithRRI("add", "r3", "r3", green(14)),
+                        Mov("r8", green(0)), PlainBz("r8", "r3"),
+                        Mov("r6", green(256)), PlainStore("r6", "r6")],
+    "green jmp target": [ArithRRI("add", "r3", "r3", green(15)),
+                         Mov("r8", blue(17)), Jmp(G, "r3"), Jmp(B, "r8")],
+    "blue jmp target": [ArithRRI("add", "r3", "r3", green(15)),
+                        Mov("r8", green(17)), Jmp(G, "r8"), Jmp(B, "r3")],
+    "plain jmp target": [ArithRRI("add", "r3", "r3", green(13)),
+                         PlainJmp("r3"), Mov("r6", green(256)),
+                         PlainStore("r6", "r6")],
+}
+
+
+def _chain_program(use=()):
+    """r1 feeds an ALU chain, ``r2 = r1 + r1`` and then ``r3 = r2 - 10``,
+    spread over the first three checkpoints at interval 8.  The chain
+    ends in ``use`` and r3 is overwritten after it, so a corrupt r1 can
+    only matter through ``use``."""
+    code = [Mov("r1", green(6)), _PAD, _PAD, _PAD,
+            ArithRRR("add", "r2", "r1", "r1"), _PAD, _PAD, _PAD,
+            ArithRRI("sub", "r3", "r2", green(10)), Mov("r1", green(0)),
+            Mov("r2", green(0)), _PAD,
+            *use,
+            Mov("r3", green(0)), _PAD, _PAD, _PAD, _PAD, Halt()]
+    return Program(code=dict(enumerate(code, 1)),
+                   initial_memory={2: 0, 256: 0}, entry=1, num_gprs=8)
+
+
 class TestRejoinRule:
     def test_dead_register_rejoins_at_first_checkpoint(self):
         program = countdown_loop_program(20)
@@ -216,6 +302,46 @@ class TestRejoinRule:
                 assert skipped == 0 or \
                     reference.num_steps - skipped > read_at
         assert checked > 0
+
+    def test_faint_chain_rejoins_at_first_checkpoint(self):
+        # r1 is read by an ALU op whose result only feeds another whose
+        # result is overwritten unread: the corruption is already dead
+        # at the first checkpoint, before the chain reads it.
+        program = _chain_program()
+        config, reference, budget = _setup(program)
+        assert _next_event(reference.recording, "r1", 8)[1] == EV_READ
+        pruned, plain, skipped = _both(program, config, reference, budget,
+                                       2, RegZap("r1", 5))
+        assert pruned == plain
+        assert pruned[1] is FaultResult.MASKED
+        assert skipped == reference.num_steps - 8
+
+    @pytest.mark.parametrize("use", sorted(_USES))
+    def test_chain_into_needed_use_stays_live(self, use):
+        self._assert_live_until_use(_chain_program(_USES[use]),
+                                    RegZap("r1", 5))
+
+    @pytest.mark.parametrize("use", ["green bz condition",
+                                     "green jmp target"])
+    def test_corrupt_d_stays_live_until_its_check(self, use):
+        # Nothing touches d before the use, whose first branch or jump
+        # checks it.
+        self._assert_live_until_use(_chain_program(_USES[use]),
+                                    RegZap(DEST, 7))
+
+    def _assert_live_until_use(self, program, fault):
+        config, reference, budget = _setup(program)
+        rejoins = _rejoin_check(reference)
+        state = _faulty(reference, 2, fault)
+        position = 2
+        for index in (1, 2, 3):  # every checkpoint before the use
+            _run(reference)(state, index * 8 - position)
+            position = index * 8
+            assert not rejoins(state, index), index
+        pruned, plain, _ = _both(program, config, reference, budget, 2,
+                                 fault)
+        assert pruned == plain
+        assert pruned[1] is not FaultResult.MASKED
 
     def test_unrecorded_reference_compares_whole_bank(self):
         class PendingBoot:
