@@ -18,7 +18,7 @@ kernel and assert the resulting cycle counts are identical -- the block
 path is an observable of execution, so backend parity covers it.  Both
 time a warm second pass; a third column times the compiled pass from an
 empty exec cache, which is what a cold process pays: program compilation
-plus the compile of every fused chain on its first dispatch.
+plus planning and compiling each fused chain the pass dispatches.
 """
 
 from __future__ import annotations

@@ -3,14 +3,14 @@
 Not a paper figure (the paper reports no checker timings), but the
 compiler-debugging story of Section 1 only works if checking compiled
 binaries is cheap; this bench records instructions checked per second for
-every kernel, plus a summary comparing cold vs warm memo caches and
-serial vs parallel block checking (see docs/TYPECHECKER.md).
+every kernel, plus a summary comparing cold vs warm memo caches (see
+docs/TYPECHECKER.md).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 from repro.statics import clear_normalization_caches
 from repro.workloads import ALL_KERNELS, compile_kernel
@@ -27,20 +27,20 @@ BASELINE_INSTRS_PER_SEC = 8_864
 REPEATS = 3
 
 
-def _check_once(program, jobs: Optional[int], cold: bool) -> float:
+def _check_once(program, cold: bool) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         if cold:
             clear_normalization_caches()
         start = time.perf_counter()
-        program.check(jobs=jobs)
+        program.check()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def _check_all(programs, jobs: Optional[int], cold: bool) -> float:
+def _check_all(programs, cold: bool) -> float:
     """Total seconds to check every kernel under one cache regime."""
-    return sum(_check_once(program, jobs, cold) for program in programs)
+    return sum(_check_once(program, cold) for program in programs)
 
 
 def run_table() -> List[str]:
@@ -53,7 +53,7 @@ def run_table() -> List[str]:
     total_instructions = sum(program.size for program in programs)
     total_seconds = 0.0
     for name, program in zip(ALL_KERNELS, programs):
-        elapsed = _check_once(program, None, cold=True)
+        elapsed = _check_once(program, cold=True)
         total_seconds += elapsed
         lines.append(format_row(
             (name, program.size, elapsed * 1e3,
@@ -65,23 +65,16 @@ def run_table() -> List[str]:
          int(total_instructions / total_seconds)), widths,
     ))
 
-    # Cache-regime / parallelism summary.  Warm rows reuse whatever the
-    # previous row left in the memo tables; jobs=4 rows exercise the
-    # process-pool block checker (identical results by construction --
-    # the win depends on having >1 CPU, which this box may not).
+    # Cache-regime summary.  The warm row reuses whatever the cold row
+    # left in the memo tables.
     summary_widths = (26, 12, 14)
     lines.append("")
     lines.append(format_row(("configuration", "total (ms)", "instrs/sec"),
                             summary_widths))
     lines.append("-" * 56)
     regimes = {}
-    for label, jobs, cold in (
-        ("cold cache, jobs=1", None, True),
-        ("warm cache, jobs=1", None, False),
-        ("cold cache, jobs=4", 4, True),
-        ("warm cache, jobs=4", 4, False),
-    ):
-        seconds = _check_all(programs, jobs, cold)
+    for label, cold in (("cold cache", True), ("warm cache", False)):
+        seconds = _check_all(programs, cold)
         regimes[label] = int(total_instructions / seconds)
         lines.append(format_row(
             (label, seconds * 1e3, int(total_instructions / seconds)),
@@ -97,7 +90,7 @@ def run_table() -> List[str]:
         "throughput_instrs_per_sec": regimes,
         "seed_baseline_instrs_per_sec": BASELINE_INSTRS_PER_SEC,
         "speedup_cold_serial_vs_seed":
-            regimes["cold cache, jobs=1"] / BASELINE_INSTRS_PER_SEC,
+            regimes["cold cache"] / BASELINE_INSTRS_PER_SEC,
     })
     return lines
 

@@ -16,12 +16,13 @@ Installed as the ``talft`` console script (also runnable as
 ``.tal`` files hold textual TAL_FT assembly; ``.mwl`` files hold MWL
 source for the compiler.
 
-``run``, ``trace``, ``time`` and ``campaign`` accept ``--backend``
-(default ``compiled``); choices derive from the ``repro.exec.BACKENDS``
-registry.  ``run``/``trace``/``time`` offer ``{step,compiled}``;
-``campaign`` additionally offers ``vector``, the batch-vectorized lane
-engine for SEU sweeps.  Every backend is observationally identical to the
-``step()`` interpreter; see ``docs/EXECUTION.md``.
+``run``, ``time`` and ``campaign`` accept ``--backend`` (default
+``compiled``); choices derive from the ``repro.exec.BACKENDS`` registry.
+``run``/``time`` offer ``{step,compiled}``; ``campaign`` additionally
+offers ``vector``, the batch-vectorized lane engine for SEU sweeps.  Every
+backend is observationally identical to the ``step()`` interpreter; see
+``docs/EXECUTION.md``.  ``trace`` always runs the interpreter, the
+specification it helps debug.
 
 ``check``, ``run``, ``time``, ``campaign`` and ``chaos`` accept the
 observability flags (see ``docs/OBSERVABILITY.md``):
@@ -74,7 +75,7 @@ def _parse_fault(spec: str):
 def cmd_check(args: argparse.Namespace) -> int:
     program = _load_tal(args.file)
     try:
-        checked = program.check(jobs=args.jobs)
+        checked = program.check()
     except TypeCheckError as error:
         print(f"type error: {error}")
         return 1
@@ -140,6 +141,8 @@ def cmd_time(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.core.faults import apply_fault
     from repro.core.tracing import format_trace, trace_execution
 
@@ -148,18 +151,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.fault:
         fault, at_step = _parse_fault(args.fault)
         # Trace up to the injection point, inject, continue.
-        events = trace_execution(state, max_steps=at_step,
-                                 backend=args.backend)
+        events = trace_execution(state, max_steps=at_step)
         print(format_trace(events))
         apply_fault(state, fault)
         print(f"    *** FAULT INJECTED: {fault.describe()} ***")
-        tail = trace_execution(state, max_steps=args.steps - at_step,
-                               backend=args.backend)
+        tail = trace_execution(state, max_steps=args.steps - at_step)
         for event in tail:
-            print(event.format())
+            # Number the faulty tail on from the injection step.
+            print(replace(event, step=at_step + event.step).format())
     else:
-        print(format_trace(trace_execution(state, max_steps=args.steps,
-                                           backend=args.backend)))
+        print(format_trace(trace_execution(state, max_steps=args.steps)))
     print(f"status: {state.status.value}")
     return 0
 
@@ -503,10 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="assemble and type-check a .tal file")
     check.add_argument("file")
-    check.add_argument("--jobs", type=int, default=None,
-                       help="check basic blocks across N worker processes "
-                            "(0 = one per CPU; results and diagnostics are "
-                            "identical to the serial checker)")
     add_observability(check)
     check.set_defaults(handler=cmd_check)
 
@@ -544,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("file")
     trace_cmd.add_argument("--steps", type=int, default=100)
     trace_cmd.add_argument("--fault", help="inject REG=VALUE@STEP")
-    add_backend(trace_cmd)
     trace_cmd.set_defaults(handler=cmd_trace)
 
     campaign = commands.add_parser(

@@ -1,11 +1,10 @@
 """Shared process-pool plumbing for the parallel engines.
 
-Both parallel subsystems -- fault-injection campaigns
-(:mod:`repro.injection.resilience`) and per-block type checking
-(:mod:`repro.types.parallel`) -- partition independent work items into
-contiguous chunks, fan them out over a process pool, and merge results
-deterministically in submission order.  This module holds the pieces
-they share.
+The campaign pool (:mod:`repro.injection.resilience`) partitions
+independent work items into contiguous chunks, fans them out over a
+process pool and merges results deterministically in submission order;
+the shard coordinator and the service reuse its chunking and start-method
+choice.  This module holds those pieces.
 """
 
 from __future__ import annotations

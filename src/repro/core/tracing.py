@@ -57,22 +57,12 @@ def trace_execution(
     state: MachineState,
     max_steps: int = 200,
     oob_policy: OobPolicy = OobPolicy.TRAP,
-    backend: str = "step",
 ) -> List[TraceEvent]:
     """Run ``state`` for up to ``max_steps``, recording every step.
 
-    ``backend="compiled"`` reconstructs the same per-step events through
-    the closure backend (:func:`repro.exec.trace_events_compiled`), which
-    is faster on long traces; the interpreter remains the default here
-    because tracing is a debugging aid and the interpreter *is* the
-    specification being debugged.
+    Always runs on the interpreter: tracing is a debugging aid, and the
+    interpreter *is* the specification being debugged.
     """
-    if backend not in ("step", "compiled"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled":
-        from repro.exec import trace_events_compiled
-
-        return trace_events_compiled(state, max_steps, oob_policy)
     events: List[TraceEvent] = []
     step_index = 0
     while step_index < max_steps and not state.is_terminal:

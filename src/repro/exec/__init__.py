@@ -1,14 +1,15 @@
 """The compiled execution backend.
 
 ``repro.exec`` executes machine states through per-address closures
-(:mod:`repro.exec.compiler`) with superinstruction fusion
-(:mod:`repro.exec.fusion`), sharing one compilation per program per process
-through a bounded LRU (:mod:`repro.exec.cache`).  The backend is an
-*observational twin* of the ``step()`` interpreter: identical rule
-sequences, outputs, trace events, step counts, terminal states and stuck
-behavior, on fault-free and fault-injected states alike -- pinned by
-``tests/test_exec_backend.py``.  See ``docs/EXECUTION.md`` for the design
-and the argument for why fusion cannot mask a fault.
+(:mod:`repro.exec.compiler`) with superinstruction fusion planned on each
+address's first dispatch (:mod:`repro.exec.fusion`), sharing one
+compilation per program per process through a bounded LRU
+(:mod:`repro.exec.cache`).  The backend is an *observational twin* of the
+``step()`` interpreter: identical rule sequences, outputs, step counts,
+terminal states and stuck behavior, on fault-free and fault-injected
+states alike -- pinned by ``tests/test_exec_backend.py``.  See
+``docs/EXECUTION.md`` for the design and the argument for why fusion
+cannot mask a fault.
 
 Drivers:
 
@@ -16,14 +17,14 @@ Drivers:
   path), returning the same :class:`~repro.core.machine.Trace` shape as
   :meth:`Machine.run`;
 * :func:`step_instruction` -- one whole fetch+execute pair (the recovery
-  executor's superstep);
-* :func:`trace_events_compiled` -- per-small-step
-  :class:`~repro.core.tracing.TraceEvent` reconstruction.
+  executor's superstep).
 
 Everything falls back to the interpreter rather than guess: states with a
 pending instruction register, register banks the compilation does not
 cover, sub-instruction step budgets and uncompilable programs all route
-through :func:`repro.core.semantics.step`.
+through :func:`repro.core.semantics.step`.  Per-step tracing
+(:func:`repro.core.tracing.trace_execution`) always runs on the
+interpreter, the specification being debugged.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.exec.compiler import (
     CompiledExec,
     compile_program,
 )
+from repro.exec.fusion import MAX_QUANTUM
 
 __all__ = [
     "BACKENDS",
@@ -64,7 +66,6 @@ __all__ = [
     "require_backend",
     "run_compiled",
     "step_instruction",
-    "trace_events_compiled",
     "warm_program",
 ]
 
@@ -167,17 +168,16 @@ def run_compiled(
 
     regs = state.regs._regs
     emit = outputs.append
-    fused_get = compiled.fused.get
-    base_get = compiled.base.get
     pc_g = PC_G
     pc_b = PC_B
     record_extend = rules.extend if record else None
 
-    # Far from the budget horizon every fused entry fits, so the hot loop
-    # dispatches through the merged ``fast`` table with no per-dispatch
-    # budget arithmetic; the careful loop below finishes the last
-    # ``max_quantum`` steps (and all short segments) with exact checks.
-    safe = max_steps - compiled.max_quantum
+    # Far from the budget horizon every chain fits, so the hot loop
+    # dispatches through ``fast`` with no per-dispatch budget arithmetic;
+    # the careful loop below finishes the last ``MAX_QUANTUM`` steps (and
+    # all short segments) on the per-instruction closures with exact
+    # checks.
+    safe = max_steps - MAX_QUANTUM
     if steps < safe and state.status is running:
         fast_get = compiled.fast.get
         while True:
@@ -202,6 +202,7 @@ def run_compiled(
             if steps >= safe or state.status is not running:
                 break
 
+    base_get = compiled.base.get
     while steps < max_steps and state.status is running:
         pcg = regs[pc_g][1]
         if pcg != regs[pc_b][1]:
@@ -211,19 +212,7 @@ def run_compiled(
             if record:
                 rules.append("fetch-fail")
             break
-        remaining = max_steps - steps
-        entry = fused_get(pcg)
-        if entry is not None and entry[0] <= remaining:
-            ret = entry[1](state, regs, emit, rand_source)
-        elif remaining >= 2:
-            closure = base_get(pcg)
-            if closure is None:
-                # No instruction at pcG: stuck, and (as in the interpreter
-                # runner) the failed fetch does not count as a step.
-                return Trace(Outcome.STUCK, outputs, steps,
-                             rules if record else [])
-            ret = closure(state, regs, emit, rand_source)
-        else:
+        if max_steps - steps < 2:
             # One step of budget left: take the bare fetch so the state is
             # left exactly where the interpreter would leave it.
             try:
@@ -235,6 +224,13 @@ def run_compiled(
                 rules.append(result.rule)
             steps += 1
             break
+        closure = base_get(pcg)
+        if closure is None:
+            # No instruction at pcG: stuck, and (as in the interpreter
+            # runner) the failed fetch does not count as a step.
+            return Trace(Outcome.STUCK, outputs, steps,
+                         rules if record else [])
+        ret = closure(state, regs, emit, rand_source)
         steps += len(ret)
         if record:
             rules.extend(ret)
@@ -273,88 +269,3 @@ def step_instruction(
     if closure is None:
         return None
     return closure(state, regs, outputs.append, rand_source)
-
-
-def trace_events_compiled(
-    state: MachineState,
-    max_steps: int = 200,
-    oob_policy: OobPolicy = OobPolicy.TRAP,
-):
-    """Compiled twin of :func:`repro.core.tracing.trace_execution`.
-
-    Reconstructs the per-small-step event list from the unfused closures:
-    each instruction contributes its ``fetch`` event (no instruction, no
-    register changes) and its execute event (register diffs computed
-    around the closure call).  Interpreter steps cover every case the
-    closures do not (pending ``ir``, odd step budgets, fetch failures on
-    uncovered banks).  Returns a list of ``TraceEvent``.
-    """
-    from repro.core.tracing import TraceEvent
-
-    compiled = compiled_for(state, oob_policy)
-    events: List[TraceEvent] = []
-    step_index = 0
-    step_outputs: List[Tuple[int, int]] = []
-    while step_index < max_steps and not state.is_terminal:
-        use_closure = (
-            compiled is not None
-            and state.ir is None
-            and max_steps - step_index >= 2
-        )
-        if use_closure:
-            regs = state.regs._regs
-            pcg = regs[PC_G][1]
-            if pcg == regs[PC_B][1]:
-                closure = compiled.base.get(pcg)
-                if closure is None:
-                    # Invalid fetch: the interpreter raises MachineStuck and
-                    # trace_execution stops without an event.
-                    break
-                instruction = compiled.code[pcg]
-                events.append(TraceEvent(
-                    step=step_index, rule="fetch", address=pcg,
-                    instruction=None, changes={},
-                    queue=state.queue.pairs(), outputs=(),
-                ))
-                step_index += 1
-                before = dict(regs)
-                del step_outputs[:]
-                ret = closure(state, regs, step_outputs.append, _zero_rand)
-                # Diff even when the step terminated the machine -- a final
-                # register write belongs in the trace (same rule as
-                # trace_execution).
-                changes = {
-                    name: (value, regs[name])
-                    for name, value in before.items()
-                    if regs[name] != value
-                }
-                events.append(TraceEvent(
-                    step=step_index, rule=ret[-1], address=pcg,
-                    instruction=instruction, changes=changes,
-                    queue=state.queue.pairs(),
-                    outputs=tuple(step_outputs),
-                ))
-                step_index += 1
-                continue
-        # Interpreter step (pending ir, pc disagreement, tail budget, or no
-        # compilation) -- mirrors trace_execution's loop body exactly.
-        address = state.regs.value(PC_G)
-        instruction = state.ir
-        before_file = {name: state.regs.get(name)
-                       for name in state.regs.names()}
-        try:
-            result = _step(state, oob_policy)
-        except MachineStuck:
-            break
-        changes = {
-            name: (before_file[name], state.regs.get(name))
-            for name in before_file
-            if state.regs.get(name) != before_file[name]
-        }
-        events.append(TraceEvent(
-            step=step_index, rule=result.rule, address=address,
-            instruction=instruction, changes=changes,
-            queue=state.queue.pairs(), outputs=result.outputs,
-        ))
-        step_index += 1
-    return events

@@ -1,16 +1,16 @@
 """The shared compiled-program cache.
 
 Compilation is one pass over code memory: it translates every instruction
-and plans a fused chain at every address, while the chains themselves
-compile on their first dispatch (:mod:`repro.exec.fusion`).  That pass is
-cheap but far from free, and the same program is executed from many
-places: every faulty run of a campaign, every worker process, the
-recovery executor's replays and the Figure 10 simulator's functional
-runs.  This module keys compilations by *program identity* -- a content
-fingerprint of code memory plus the out-of-bounds policy baked into the
-closures -- in a bounded LRU
-(:class:`repro.core.caching.LRUCache`), so each distinct program is
-compiled once per process no matter how many subsystems execute it.
+into a closure, while fused chains are planned and compiled on each
+address's first dispatch (:mod:`repro.exec.fusion`).  That pass is cheap
+but not free, and the same program is executed from many places: every
+faulty run of a campaign, every worker process, the recovery executor's
+replays and the Figure 10 simulator's functional runs.  This module keys
+compilations by *program identity* -- a content fingerprint of code
+memory plus the out-of-bounds policy baked into the closures -- in a
+bounded LRU (:class:`repro.core.caching.LRUCache`), so each distinct
+program is compiled once per process no matter how many subsystems
+execute it.
 
 Programs the compiler rejects are negatively cached (a sentinel, not
 ``None`` -- ``None`` is the LRU's miss marker), so an uncompilable program
@@ -91,8 +91,8 @@ def warm_program(
     ``"unsupported"`` when the program cannot be compiled and every run
     will use the interpreter.  Campaign workers call this from their pool
     initializer so the first faulty run never pays program compilation
-    inside a supervised chunk deadline.  Fused chains still compile on
-    their first dispatch, so a worker pays under 1 ms per chain it
+    inside a supervised chunk deadline.  Fused chains are still planned
+    on their first dispatch, so a worker pays under 1 ms per chain it
     first dispatches inside its chunk.
     """
     key = (code_fingerprint(code), oob_policy)

@@ -33,7 +33,7 @@ an exotic instruction degrades throughput, never behavior.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Set, Tuple
 
 from repro.core.colors import Color, ColoredValue, green
 from repro.core.instructions import (
@@ -55,6 +55,7 @@ from repro.core.instructions import (
 from repro.core.registers import DEST, PC_B, PC_G
 from repro.core.semantics import OobPolicy, _RESULTS as _STEP_RESULTS
 from repro.core.state import MachineState
+from repro.exec.fusion import plan_chain
 
 _new_cv = tuple.__new__
 _CV = ColoredValue
@@ -79,11 +80,6 @@ Closure = Callable[
     Tuple[str, ...],
 ]
 
-#: A fusable instruction body: same signature, no return value.  Only
-#: generated for instructions with a single, infallible, fall-through
-#: outcome (see :mod:`repro.exec.fusion`).
-Effect = Callable[[MachineState, Dict[str, ColoredValue], Callable, Callable], None]
-
 
 def _rules(*names: str) -> Tuple[str, ...]:
     """A rule tuple, validated against the interpreter's rule table so the
@@ -97,17 +93,15 @@ def _rules(*names: str) -> Tuple[str, ...]:
 class CompiledExec:
     """A program's code memory, compiled to per-address closures.
 
-    ``base`` holds one closure per code address (one instruction each);
-    ``fused`` holds superinstruction entries at addresses where several
-    consecutive instructions were fused -- each value is ``(consumed,
-    closure)`` with ``consumed`` the fixed number of small steps the fused
-    closure accounts for.  ``fast`` is the merged dispatch table drivers
-    use far from the step-budget horizon: the fused closure where one
-    exists, the base closure otherwise -- one dict lookup per dispatch,
-    safe whenever at least ``max_quantum`` steps of budget remain.  Both
-    tables come from :func:`repro.exec.fusion.build_fusion_table`; a
-    generated chain's closure compiles on its first call and then
-    replaces itself in both.
+    ``base`` holds one closure per code address (one instruction each).
+    ``fast`` is the dispatch table drivers use far from the step-budget
+    horizon, safe whenever at least :data:`repro.exec.fusion.MAX_QUANTUM`
+    steps of budget remain.  It starts with the shared :attr:`planner`
+    entry at every address; the planner's first call at an address
+    (:meth:`plan`) writes that address's fused chain over its slot, or the
+    base closure when fewer than two instructions fuse there.  Threads
+    take no lock: racing first calls each install an equivalent function
+    with a single dict store.
     ``registers`` is every register name any closure touches; drivers
     verify it is a subset of the live register bank before entering
     closures (the interpreter reports unknown registers with a
@@ -115,35 +109,36 @@ class CompiledExec:
     not reproduce).
     """
 
-    __slots__ = ("code", "oob_policy", "base", "fused", "fast",
-                 "max_quantum", "registers", "size", "fused_sites",
-                 "fused_instructions")
+    __slots__ = ("code", "oob_policy", "base", "fast", "planner",
+                 "registers", "size")
 
     def __init__(
         self,
         code: Dict[int, Instruction],
         oob_policy: OobPolicy,
         base: Dict[int, Closure],
-        fused: Dict[int, Tuple[int, Closure]],
-        fast: Dict[int, Closure],
         registers: FrozenSet[str],
     ):
         self.code = code
         self.oob_policy = oob_policy
         self.base = base
-        self.fused = fused
-        self.fast = fast
         self.registers = registers
         self.size = len(base)
-        #: Addresses with a superinstruction entry.
-        self.fused_sites = len(fused)
-        #: Total instructions covered by superinstructions (for stats).
-        self.fused_instructions = sum(
-            consumed // 2 for consumed, _ in fused.values()
-        )
-        #: The most small steps any single ``fast`` dispatch can consume.
-        self.max_quantum = max(
-            (consumed for consumed, _ in fused.values()), default=2)
+        #: One bound method shared by every unplanned slot of ``fast``.
+        self.planner: Closure = self._plan_and_run
+        self.fast: Dict[int, Closure] = dict.fromkeys(base, self.planner)
+
+    def plan(self, address: int) -> Closure:
+        """Plan and compile the chain at ``address``, install it in
+        ``fast`` and return it."""
+        entry = plan_chain(self.code, self.base, address, self.oob_policy)
+        self.fast[address] = entry
+        return entry
+
+    def _plan_and_run(self, state, regs, emit, rand):
+        """The planner: plan the chain at the address the driver just
+        dispatched on (``pcG``), then run it."""
+        return self.plan(regs[PC_G][1])(state, regs, emit, rand)
 
     def supports(self, state: MachineState) -> bool:
         """Can this compilation drive ``state``?  (Register bank must cover
@@ -152,24 +147,12 @@ class CompiledExec:
 
     def __repr__(self) -> str:
         return (f"<CompiledExec {self.size} instrs, "
-                f"{self.fused_sites} fused sites, "
                 f"policy={self.oob_policy.value}>")
 
 
-def _bump(regs: Dict[str, ColoredValue]) -> None:
-    """``R++`` on the raw register dict (kept for the rare cold paths; hot
-    closures inline these four lines)."""
-    pg = regs[PC_G]
-    pb = regs[PC_B]
-    regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-    regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-
-
 # ---------------------------------------------------------------------------
-# Per-instruction translators.  Each returns (closure, effect-or-None,
-# referenced register names).  ``effect`` is only provided when the
-# instruction has exactly one outcome, never faults, and falls through to
-# the next address -- the eligibility condition for fusion interiors.
+# Per-instruction translators.  Each returns (closure, referenced register
+# names).
 # ---------------------------------------------------------------------------
 
 
@@ -191,16 +174,7 @@ def _compile_arith_rrr(instr: ArithRRR, oob_policy: OobPolicy):
         regs[rd] = _new_cv(_CV, (rtv[0], result))
         return ret
 
-    def effect(state, regs, emit, rand):
-        rtv = regs[rt]
-        result = op(regs[rs][1], rtv[1])
-        pg = regs[PC_G]
-        pb = regs[PC_B]
-        regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-        regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-        regs[rd] = _new_cv(_CV, (rtv[0], result))
-
-    return run, (effect, "op2r"), (rd, rs, rt)
+    return run, (rd, rs, rt)
 
 
 def _compile_arith_rri(instr: ArithRRI, oob_policy: OobPolicy):
@@ -222,15 +196,7 @@ def _compile_arith_rri(instr: ArithRRI, oob_policy: OobPolicy):
         regs[rd] = _new_cv(_CV, (imm_color, result))
         return ret
 
-    def effect(state, regs, emit, rand):
-        result = op(regs[rs][1], imm_value)
-        pg = regs[PC_G]
-        pb = regs[PC_B]
-        regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-        regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-        regs[rd] = _new_cv(_CV, (imm_color, result))
-
-    return run, (effect, "op1r"), (rd, rs)
+    return run, (rd, rs)
 
 
 def _compile_mov(instr: Mov, oob_policy: OobPolicy):
@@ -246,14 +212,7 @@ def _compile_mov(instr: Mov, oob_policy: OobPolicy):
         regs[rd] = imm
         return ret
 
-    def effect(state, regs, emit, rand):
-        pg = regs[PC_G]
-        pb = regs[PC_B]
-        regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-        regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-        regs[rd] = imm
-
-    return run, (effect, "mov"), (rd,)
+    return run, (rd,)
 
 
 def _compile_halt(instr: Halt, oob_policy: OobPolicy):
@@ -263,7 +222,7 @@ def _compile_halt(instr: Halt, oob_policy: OobPolicy):
         state.halt()
         return ret
 
-    return run, None, ()
+    return run, ()
 
 
 def _compile_load(instr: Load, oob_policy: OobPolicy):
@@ -304,7 +263,7 @@ def _compile_load(instr: Load, oob_policy: OobPolicy):
             regs[rd] = ColoredValue(_GREEN, rand())
             return ret_rand
 
-        return run, None, (rd, rs)
+        return run, (rd, rs)
 
     ret_mem = _rules("fetch", "ldB-mem")
     ret_fail = _rules("fetch", "ldB-fail")
@@ -331,7 +290,7 @@ def _compile_load(instr: Load, oob_policy: OobPolicy):
         regs[rd] = ColoredValue(_BLUE, rand())
         return ret_rand
 
-    return run, None, (rd, rs)
+    return run, (rd, rs)
 
 
 def _compile_store(instr: Store, oob_policy: OobPolicy):
@@ -349,16 +308,7 @@ def _compile_store(instr: Store, oob_policy: OobPolicy):
             regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
             return ret
 
-        def effect(state, regs, emit, rand):
-            address = regs[rd][1]
-            value = regs[rs][1]
-            state.queue._pairs.appendleft((address, value))
-            pg = regs[PC_G]
-            pb = regs[PC_B]
-            regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-            regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-
-        return run, (effect, "stG-queue"), (rd, rs)
+        return run, (rd, rs)
 
     ret_queue_fail = _rules("fetch", "stB-queue-fail")
     ret_mem_fail = _rules("fetch", "stB-mem-fail")
@@ -385,7 +335,7 @@ def _compile_store(instr: Store, oob_policy: OobPolicy):
             emit(queued)
         return ret_mem
 
-    return run, None, (rd, rs)
+    return run, (rd, rs)
 
 
 def _compile_jmp(instr: Jmp, oob_policy: OobPolicy):
@@ -406,7 +356,7 @@ def _compile_jmp(instr: Jmp, oob_policy: OobPolicy):
             regs[DEST] = target
             return ret_ok
 
-        return run, None, (rd, DEST)
+        return run, (rd, DEST)
 
     ret_ok = _rules("fetch", "jmpB")
     ret_fail = _rules("fetch", "jmpB-fail")
@@ -422,7 +372,7 @@ def _compile_jmp(instr: Jmp, oob_policy: OobPolicy):
         regs[DEST] = _GREEN_ZERO
         return ret_ok
 
-    return run, None, (rd, DEST)
+    return run, (rd, DEST)
 
 
 def _compile_bz(instr: Bz, oob_policy: OobPolicy):
@@ -456,7 +406,7 @@ def _compile_bz(instr: Bz, oob_policy: OobPolicy):
             regs[DEST] = target
             return ret_taken
 
-        return run, None, (rz, rd, DEST)
+        return run, (rz, rd, DEST)
 
     ret_untaken = _rules("fetch", "bz-untaken")
     ret_untaken_fail = _rules("fetch", "bz-untaken-fail")
@@ -484,7 +434,7 @@ def _compile_bz(instr: Bz, oob_policy: OobPolicy):
         regs[DEST] = _GREEN_ZERO
         return ret_taken
 
-    return run, None, (rz, rd, DEST)
+    return run, (rz, rd, DEST)
 
 
 def _compile_plain_load(instr: PlainLoad, oob_policy: OobPolicy):
@@ -515,7 +465,7 @@ def _compile_plain_load(instr: PlainLoad, oob_policy: OobPolicy):
         regs[rd] = ColoredValue(_GREEN, rand())
         return ret_rand
 
-    return run, None, (rd, rs)
+    return run, (rd, rs)
 
 
 def _compile_plain_store(instr: PlainStore, oob_policy: OobPolicy):
@@ -534,18 +484,7 @@ def _compile_plain_store(instr: PlainStore, oob_policy: OobPolicy):
             emit((address, value))
         return ret
 
-    def effect(state, regs, emit, rand):
-        address = regs[rd][1]
-        value = regs[rs][1]
-        state.memory[address] = value
-        pg = regs[PC_G]
-        pb = regs[PC_B]
-        regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-        regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-        if address >= state.observable_min:
-            emit((address, value))
-
-    return run, (effect, "st-mem"), (rd, rs)
+    return run, (rd, rs)
 
 
 def _compile_plain_jmp(instr: PlainJmp, oob_policy: OobPolicy):
@@ -560,7 +499,7 @@ def _compile_plain_jmp(instr: PlainJmp, oob_policy: OobPolicy):
         regs[PC_B] = _new_cv(_CV, (pb[0], target))
         return ret
 
-    return run, None, (rd,)
+    return run, (rd,)
 
 
 def _compile_plain_bz(instr: PlainBz, oob_policy: OobPolicy):
@@ -582,7 +521,7 @@ def _compile_plain_bz(instr: PlainBz, oob_policy: OobPolicy):
         regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
         return ret_untaken
 
-    return run, None, (rz, rd)
+    return run, (rz, rd)
 
 
 #: Exact-type translator table; subclasses resolve through the isinstance
@@ -621,48 +560,31 @@ def compile_program(
 ) -> CompiledExec:
     """Compile ``code`` into a :class:`CompiledExec` for ``oob_policy``.
 
-    Raises :class:`CompilationUnsupported` when any instruction cannot be
-    translated; callers are expected to fall back to the interpreter.
+    Builds only the per-instruction closures; fused chains are planned on
+    their first dispatch.  Raises :class:`CompilationUnsupported` when any
+    instruction cannot be translated; callers are expected to fall back
+    to the interpreter.
     """
     from time import perf_counter as _perf_counter
 
-    from repro.exec.fusion import build_fusion_table
     from repro.observe import emit as _emit_event, get_registry
 
     registry = get_registry()
     started = _perf_counter()
     try:
         base: Dict[int, Closure] = {}
-        effects: Dict[int, Tuple[Effect, str]] = {}
         registers: Set[str] = {PC_G, PC_B, DEST}
         for address, instruction in code.items():
             translator = _translator_for(instruction)
-            closure, effect, used = translator(instruction, oob_policy)
-            base[address] = closure
-            if effect is not None and type(instruction) in _TRANSLATORS:
-                # Fusion interiors need the exact documented semantics; an
-                # instruction subclass keeps its base closure but is excluded
-                # from fusion out of caution.
-                run_fn, rule = effect
-                if instruction.rd not in (PC_G, PC_B):
-                    # Writing a program counter breaks the sequential-advance
-                    # invariant fused chains rely on.
-                    effects[address] = (run_fn, rule)
+            base[address], used = translator(instruction, oob_policy)
             registers.update(used)
-        fused, fast = build_fusion_table(code, base, effects, oob_policy)
     except CompilationUnsupported:
         registry.counter("exec_compile_unsupported_total").inc()
         raise
-    compiled = CompiledExec(code, oob_policy, base, fused, fast,
-                            frozenset(registers))
+    compiled = CompiledExec(code, oob_policy, base, frozenset(registers))
     elapsed = _perf_counter() - started
     registry.histogram("exec_compile_seconds").observe(elapsed)
     registry.counter("exec_compiles_total").inc()
-    registry.counter("exec_fused_sites_total").inc(compiled.fused_sites)
-    registry.counter("exec_fused_instructions_total").inc(
-        compiled.fused_instructions)
     _emit_event("compile", instructions=compiled.size,
-                fused_sites=compiled.fused_sites,
-                fused_instructions=compiled.fused_instructions,
                 seconds=round(elapsed, 6))
     return compiled

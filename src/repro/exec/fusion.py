@@ -5,25 +5,25 @@ shadowed by a blue twin (``add``/``add``, ``stG``/``stB``), and every
 control transfer is a two-phase announce/commit pair (``jmpG``/``jmpB``,
 ``bzG``/``bzB``).  Executing such code one instruction at a time pays the
 driver's dispatch overhead (program-counter read, equality check, table
-lookup) twice per logical operation.  Fusion eliminates that: at every code
-address this module plans a *superinstruction* covering a maximal run of
-consecutive instructions, executed in one driver dispatch.
+lookup) twice per logical operation.  Fusion eliminates that: a
+*superinstruction* covers a maximal run of consecutive instructions,
+executed in one driver dispatch.
 
-Planning is eager and compilation is lazy.  The structural walk runs at
-every address when the program is compiled, so each fused entry's
-``consumed`` step count (and with it the drivers' budget checks,
-``max_quantum`` and the fusion statistics) is fixed up front, and the
-chain's Python source is assembled there too.  Python's ``compile()`` of
-that source -- about 90% of the cost of fusing a program -- waits for the
-chain's first dispatch (:class:`LazyChain`), which then replaces its own
-slot in both dispatch tables with the compiled function.  Most planned
-chains never run: a fault-free pass over one of the 17 kernels dispatches
-11-16% of its FT build's chains and 19-33% of its baseline build's.
+Chains are planned on their first dispatch.  Compiling a program builds
+only the per-instruction closures, and its ``fast`` dispatch table starts
+with one shared planner entry at every address
+(:class:`repro.exec.compiler.CompiledExec`).  The planner's first call at
+an address runs :func:`plan_chain`, which walks the chain starting there,
+generates its Python source and compiles it; the planner then writes the
+chain (or, when fewer than two instructions fuse, the base closure) over
+its own slot.  A run dispatches only a fraction of a program's addresses,
+so most chains are never planned at all.
 
 A fused chain is ``interior* tail?``:
 
 * **interiors** are instructions with exactly one outcome that never fault
-  and always fall through (ALU ops, ``mov``, ``stG``, plain ``st``).
+  and always fall through (exact ALU types, ``mov``, green ``st`` and
+  plain ``st``) and that name no program counter (:func:`fusable`).
   Chains are code-generated in SSA style: interior results live in Python
   locals while the chain runs, and a single flush point before the tail
   boxes only the *final* value of each written register and bumps both
@@ -32,14 +32,16 @@ A fused chain is ``interior* tail?``:
   states are observationally silent -- the flush reconstructs exactly the
   bank the interpreter would have built before the first step whose
   outcome can vary;
-* the **tail** is any single compilable instruction (it may fault, halt or
-  transfer control), or one of the dedicated two-phase pairs
-  ``jmpG``+``jmpB`` / ``bzG``+``bzB`` / ``ldG``+``ldB``, inlined here with
-  their full dynamic outcome structure (the load pair requires the green
-  destination not be a program counter, so its intermediate fetch stays a
-  provable no-op on every success path).
+* the **tail** is any single instruction with a source template (it may
+  fault, halt or transfer control), or one of the dedicated two-phase
+  pairs ``jmpG``+``jmpB`` / ``bzG``+``bzB`` / ``ldG``+``ldB``, inlined here
+  with their full dynamic outcome structure (the load pair requires the
+  green destination not be a program counter, so its intermediate fetch
+  stays a provable no-op on every success path).  An interior that names
+  a program counter, or a tail with no template (an instruction
+  subclass), ends the chain before it.
 
-**Why fusion cannot mask a fault.**  Fused closures are only entered by a
+**Why fusion cannot mask a fault.**  Fused chains are only entered by a
 driver that has just re-checked the fetch preconditions against the live
 (possibly corrupted) register bank, and the interior/tail split is chosen
 so every intermediate fetch inside a chain is a provable no-op: interiors
@@ -49,16 +51,17 @@ construction of the chain), so the intermediate ``fetch`` can neither
 fetch-fail nor get stuck.  Faults themselves never land *inside* a chain:
 the campaign engine materializes injection states at exact small-step
 granularity with the interpreter (see ``ReferenceRun.state_at``) and only
-then hands the state to the compiled driver, and drivers split chains at
-any step-budget boundary (a fused entry is skipped when fewer than
-``consumed`` steps remain), so a fault scheduled mid-instruction always
-lands between the *original* small steps, exactly as under ``step()``.
+then hands the state to the compiled driver, and drivers dispatch through
+``fast`` only while at least :data:`MAX_QUANTUM` steps of budget remain
+and through the per-instruction closures after that, so a fault scheduled
+mid-instruction always lands between the *original* small steps, exactly
+as under ``step()``.
 
-Every fused entry coexists with the per-instruction ``base`` entries for
-the same addresses, so control may enter a chain in the middle (e.g. after
-a zap redirects ``pcG``) and still execute correctly.  Which entries have
-been compiled so far therefore never shows: a compiled chain and its lazy
-entry run the same source.
+A chain only ever runs from the address it was planned at; the
+per-instruction closures stay in ``base``, and every address plans its own
+chain, so control may enter the middle of another address's chain (e.g.
+after a zap redirects ``pcG``) and still execute correctly.  Which
+addresses have been planned so far therefore never shows.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ _GREEN_ZERO = green(0)
 #: quantum a fused dispatch can consume.
 MAX_INTERIOR = 16
 
+#: The most small steps one ``fast`` dispatch can consume: the interiors
+#: plus a two-instruction tail, two steps (fetch and execute) each.
+MAX_QUANTUM = 2 * (MAX_INTERIOR + 2)
+
 #: ALU opcodes as inline source expressions -- saves a Python call per
 #: interior arithmetic instruction.  ``sll``/``sra`` clamp their shift
 #: amounts and stay as environment calls.
@@ -100,136 +107,29 @@ _ALU_EXPR = {
     "xor": "({a} ^ {b})",
 }
 
+#: The rule each interior kind fires (only green stores: a blue ``st``
+#: commits the queue and may fault).
+_INTERIOR_RULES = {ArithRRR: "op2r", ArithRRI: "op1r", Mov: "mov",
+                   Store: "stG-queue", PlainStore: "st-mem"}
+assert set(_INTERIOR_RULES.values()) <= set(_STEP_RESULTS)
 
-def _fuse_jmp_pair(announce: Jmp, commit: Jmp):
-    """``jmpG rd`` immediately followed by ``jmpB rd'`` as one closure."""
-    rd_g = announce.rd
-    rd_b = commit.rd
-    ret_ok = ("fetch", "jmpG", "fetch", "jmpB")
-    ret_announce_fail = ("fetch", "jmpG-fail")
-    ret_commit_fail = ("fetch", "jmpG", "fetch", "jmpB-fail")
-
-    def run(state, regs, emit, rand):
-        # jmpG: announce the target into d (which must be clear).
-        if regs[DEST][1] != 0:
-            state.enter_fault()
-            return ret_announce_fail
-        target = regs[rd_g]
-        pg = regs[PC_G]
-        pb = regs[PC_B]
-        regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-        regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-        regs[DEST] = target
-        # Intermediate fetch: both pcs were bumped together and the commit
-        # instruction exists at the next address, so it cannot fail.
-        # jmpB: check agreement and transfer.
-        rdv = regs[rd_b]
-        if target[1] == 0 or rdv[1] != target[1]:
-            state.enter_fault()
-            return ret_commit_fail
-        regs[PC_G] = target
-        regs[PC_B] = rdv
-        regs[DEST] = _GREEN_ZERO
-        return ret_ok
-
-    return run
+_PCS = frozenset((PC_G, PC_B))
 
 
-def _fuse_bz_pair(announce: Bz, commit: Bz):
-    """``bzG rz, rd`` immediately followed by ``bzB rz', rd'``."""
-    rz_g, rd_g = announce.rz, announce.rd
-    rz_b, rd_b = commit.rz, commit.rd
-    # First half untaken (fell through), second half outcomes:
-    ret_u_untaken = ("fetch", "bz-untaken", "fetch", "bz-untaken")
-    ret_u_untaken_fail = ("fetch", "bz-untaken", "fetch", "bz-untaken-fail")
-    ret_u_taken = ("fetch", "bz-untaken", "fetch", "bzB-taken")
-    ret_u_taken_fail = ("fetch", "bz-untaken", "fetch", "bzB-taken-fail")
-    # First half taken (announced into d), second half outcomes:
-    ret_t_untaken = ("fetch", "bzG-taken", "fetch", "bz-untaken")
-    ret_t_untaken_fail = ("fetch", "bzG-taken", "fetch", "bz-untaken-fail")
-    ret_t_taken = ("fetch", "bzG-taken", "fetch", "bzB-taken")
-    ret_t_taken_fail = ("fetch", "bzG-taken", "fetch", "bzB-taken-fail")
-    # First half failures:
-    ret_untaken_fail = ("fetch", "bz-untaken-fail")
-    ret_taken_fail = ("fetch", "bzG-taken-fail")
+def fusable(instr: Optional[Instruction]) -> bool:
+    """May ``instr`` be a chain interior?
 
-    def run(state, regs, emit, rand):
-        z_value = regs[rz_g][1]
-        dest_value = regs[DEST][1]
-        if z_value != 0:
-            # bzG falls through.
-            if dest_value != 0:
-                state.enter_fault()
-                return ret_untaken_fail
-            pg = regs[PC_G]
-            pb = regs[PC_B]
-            regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-            regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-            # bzB with d still clear.
-            z2 = regs[rz_b][1]
-            dest = regs[DEST]
-            if z2 != 0:
-                if dest[1] != 0:
-                    state.enter_fault()
-                    return ret_u_untaken_fail
-                pg = regs[PC_G]
-                pb = regs[PC_B]
-                regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-                regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-                return ret_u_untaken
-            rdv = regs[rd_b]
-            if dest[1] == 0 or rdv[1] != dest[1]:
-                state.enter_fault()
-                return ret_u_taken_fail
-            regs[PC_G] = dest
-            regs[PC_B] = rdv
-            regs[DEST] = _GREEN_ZERO
-            return ret_u_taken
-        # bzG takes: announce into d (which must be clear).
-        if dest_value != 0:
-            state.enter_fault()
-            return ret_taken_fail
-        target = regs[rd_g]
-        pg = regs[PC_G]
-        pb = regs[PC_B]
-        regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-        regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-        regs[DEST] = target
-        # bzB with the announced target in d.
-        z2 = regs[rz_b][1]
-        if z2 != 0:
-            if target[1] != 0:
-                state.enter_fault()
-                return ret_t_untaken_fail
-            pg = regs[PC_G]
-            pb = regs[PC_B]
-            regs[PC_G] = _new_cv(_CV, (pg[0], pg[1] + 1))
-            regs[PC_B] = _new_cv(_CV, (pb[0], pb[1] + 1))
-            return ret_t_untaken
-        rdv = regs[rd_b]
-        if target[1] == 0 or rdv[1] != target[1]:
-            state.enter_fault()
-            return ret_t_taken_fail
-        regs[PC_G] = target
-        regs[PC_B] = rdv
-        regs[DEST] = _GREEN_ZERO
-        return ret_t_taken
-
-    # The paper's protocol never takes bzB with a clear d; the closure
-    # still handles it (faulty states reach every branch).
-    return run
-
-
-#: Register names each interior type *reads* (writes are its ``rd``, which
-#: the compiler already guarantees is not a program counter).  Used to
-#: decide whether a chain may defer its pc bumps to one batched update.
-_INTERIOR_READS = {
-    ArithRRR: lambda i: (i.rs, i.rt),
-    ArithRRI: lambda i: (i.rs,),
-    Mov: lambda i: (),
-    Store: lambda i: (i.rd, i.rs),
-    PlainStore: lambda i: (i.rd, i.rs),
-}
+    Exact ALU types, ``mov``, green ``st`` and plain ``st`` qualify, as
+    long as no operand or destination is a program counter: the chain
+    defers its pc bumps to one batched update, so intermediate pc values
+    must be unobservable.
+    """
+    kind = type(instr)
+    if kind not in _INTERIOR_RULES or (kind is Store
+                                       and instr.color is not _GREEN):
+        return False
+    names = {instr.rd, getattr(instr, "rs", None), getattr(instr, "rt", None)}
+    return names.isdisjoint(_PCS)
 
 
 def _use_value(reg: str, defs) -> str:
@@ -339,7 +239,7 @@ _BUMP1 = (
 )
 
 
-def _gen_tail(instr: Instruction, follower: Optional[Instruction],
+def _gen_tail(instr: Optional[Instruction], follower: Optional[Instruction],
               oob_policy, env: Dict, body: List[str],
               prefix: Tuple[str, ...]) -> int:
     """Append inline source for the chain tail; every outcome returns a
@@ -348,8 +248,7 @@ def _gen_tail(instr: Instruction, follower: Optional[Instruction],
     Mirrors the closure translators in :mod:`repro.exec.compiler` line for
     line.  Returns the number of *instructions* the emitted tail covers
     (2 for a fused announce/commit pair, 1 otherwise), or 0 when this tail
-    shape has no template and the caller must fall back to calling the
-    tail closure.
+    shape has no template.
     """
     from repro.core.semantics import OobPolicy
 
@@ -366,17 +265,10 @@ def _gen_tail(instr: Instruction, follower: Optional[Instruction],
     kind = type(instr)
     trap = oob_policy is OobPolicy.TRAP
 
-    if kind in _INTERIOR_READS and not (kind is Store
-                                        and instr.color is not _GREEN) \
-            and not (kind in (ArithRRR, ArithRRI, Mov)
-                     and instr.rd in (PC_G, PC_B)):
-        # An interior-eligible instruction serving as tail (cap hit, or the
-        # next address is empty): same snippet plus its own pc bump.  A
-        # destination *write* to a program counter is excluded: the
-        # interpreter bumps before writing ``rd``, and this template writes
-        # first (harmless for ordinary registers, divergent for a pc).
-        rule = {ArithRRR: "op2r", ArithRRI: "op1r", Mov: "mov",
-                Store: "stG-queue", PlainStore: "st-mem"}[kind]
+    if fusable(instr):
+        # An interior serving as tail (the chain hit MAX_INTERIOR): same
+        # snippet plus its own pc bump.
+        rule = _INTERIOR_RULES[kind]
         flag = _gen_interior(instr, "t", env, body)
         if flag == "q":
             body.insert(len(body) - 1, "    _q = state.queue._pairs")
@@ -523,7 +415,7 @@ def _gen_tail(instr: Instruction, follower: Optional[Instruction],
 
     if kind is Jmp and instr.color is _GREEN and type(follower) is Jmp \
             and follower.color is _BLUE:
-        # Announce/commit pair in one template (cf. _fuse_jmp_pair).
+        # Announce/commit pair in one template.
         env["_GZ"] = _GREEN_ZERO
         body.append(f"    if regs[{DEST!r}][1] != 0:")
         body.append("        state.enter_fault()")
@@ -683,20 +575,22 @@ def _gen_tail(instr: Instruction, follower: Optional[Instruction],
     return 0
 
 
-def _codegen_chain(interiors: List[Instruction], prefix: Tuple[str, ...],
-                   tail_instr: Optional[Instruction],
-                   tail_follower: Optional[Instruction],
-                   oob_policy) -> Optional[Tuple[int, str, Dict[str, object]]]:
+def _codegen_chain(interiors: List[Instruction],
+                   tail: Optional[Instruction],
+                   follower: Optional[Instruction],
+                   oob_policy) -> Tuple[int, str, Dict[str, object]]:
     """Generate the source of one Python function for a whole chain.
 
     The interiors become straight-line source (no per-instruction call
     overhead), both program counters are bumped once by ``len(interiors)``,
-    and the tail -- any single instruction, or an announce/commit pair --
-    is inlined behind it with fully-constant return tuples.  Returns
-    ``(total_instructions, source, env)``, where ``source`` defines
-    ``_chain`` over the globals ``env``, or ``None`` when the tail has no
-    template (the caller then falls back to the effect-closure chain).
+    and the tail -- any single instruction with a template, or an
+    announce/commit pair -- is inlined behind it with fully-constant return
+    tuples.  Returns ``(instructions, source, env)``, where ``source``
+    defines ``_chain`` over the globals ``env``.  A ``tail`` with no
+    template is left out, so the chain ends before it.
     """
+    prefix = tuple(part for instr in interiors
+                   for part in ("fetch", _INTERIOR_RULES[type(instr)]))
     env: Dict[str, object] = {"_cv": _new_cv, "_CV": _CV, "_G": _GREEN,
                               "_B": _BLUE}
     lines: List[str] = []
@@ -730,201 +624,34 @@ def _codegen_chain(interiors: List[Instruction], prefix: Tuple[str, ...],
             f"    regs[{PC_G!r}] = _cv(_CV, (_pg[0], _pg[1] + {count}))",
             f"    regs[{PC_B!r}] = _cv(_CV, (_pb[0], _pb[1] + {count}))",
         ))
-    if tail_instr is None:
+    tail_body: List[str] = []
+    tail_count = _gen_tail(tail, follower, oob_policy, env, tail_body, prefix)
+    if tail_count:
+        body.extend(tail_body)
+    else:
         env["_prefix"] = prefix
         body.append("    return _prefix")
-        tail_count = 0
-    else:
-        tail_count = _gen_tail(tail_instr, tail_follower, oob_policy, env,
-                               body, prefix)
-        if tail_count == 0:
-            return None
     return count + tail_count, "\n".join(body), env
 
 
-class LazyChain:
-    """A generated chain's fused entry until its first dispatch.
+def plan_chain(code: Dict[int, Instruction], base: Dict[int, object],
+               address: int, oob_policy) -> object:
+    """The ``fast`` entry for ``address``: plan the chain that starts
+    there, generate its source and compile it.
 
-    Calling it compiles the chain, installs the compiled function in its
-    own slots of ``fused`` and ``fast`` (so later dispatches call the
-    function directly) and runs it.  Threads sharing one cached program
-    take no lock here: two racing first calls both compile, and each
-    installs an equivalent function with single dict stores.
+    Returns ``base[address]`` instead when fewer than two instructions
+    fuse.  Every call plans afresh and shares nothing with other calls,
+    so racing callers each get an equivalent function.
     """
-
-    __slots__ = ("address", "consumed", "source", "env", "fused", "fast")
-
-    def __init__(self, address: int, consumed: int, source: str,
-                 env: Dict[str, object], fused: Dict, fast: Dict):
-        self.address = address
-        self.consumed = consumed
-        self.source = source
-        self.env = env
-        self.fused = fused
-        self.fast = fast
-
-    def install(self):
-        """Compile the chain, install it in both tables and return it."""
-        namespace = dict(self.env)  # racing installs share no namespace
-        exec(compile(self.source, "<fused-chain>", "exec"), namespace)
-        chain = namespace["_chain"]
-        self.fused[self.address] = (self.consumed, chain)
-        self.fast[self.address] = chain
-        get_registry().counter("exec_fused_chains_compiled_total").inc()
-        return chain
-
-    def __call__(self, state, regs, emit, rand):
-        return self.install()(state, regs, emit, rand)
-
-
-def _make_chain(effects, prefix: Tuple[str, ...], tail):
-    """Compose interior effects and an optional tail closure.
-
-    ``prefix`` is the rule tuple for the interiors (``("fetch", r0,
-    "fetch", r1, ...)``).  Tail closures return per-outcome constant
-    tuples, so the composed return value is memoized by the tail tuple's
-    identity -- after the first occurrence of each dynamic outcome the
-    chain allocates nothing.
-    """
-    if tail is None:
-        effects = tuple(effects)
-
-        def run_effects_only(state, regs, emit, rand):
-            for effect in effects:
-                effect(state, regs, emit, rand)
-            return prefix
-
-        return run_effects_only
-
-    if not effects:
-        return tail
-
-    rmap: Dict[int, Tuple[str, ...]] = {}
-    rmap_get = rmap.get
-
-    if len(effects) == 1:
-        effect0 = effects[0]
-
-        def run_one(state, regs, emit, rand):
-            effect0(state, regs, emit, rand)
-            ret = tail(state, regs, emit, rand)
-            out = rmap_get(id(ret))
-            if out is None:
-                out = prefix + ret
-                rmap[id(ret)] = out
-            return out
-
-        return run_one
-
-    if len(effects) == 2:
-        effect0, effect1 = effects
-
-        def run_two(state, regs, emit, rand):
-            effect0(state, regs, emit, rand)
-            effect1(state, regs, emit, rand)
-            ret = tail(state, regs, emit, rand)
-            out = rmap_get(id(ret))
-            if out is None:
-                out = prefix + ret
-                rmap[id(ret)] = out
-            return out
-
-        return run_two
-
-    effects = tuple(effects)
-
-    def run_many(state, regs, emit, rand):
-        for effect in effects:
-            effect(state, regs, emit, rand)
-        ret = tail(state, regs, emit, rand)
-        out = rmap_get(id(ret))
-        if out is None:
-            out = prefix + ret
-            rmap[id(ret)] = out
-        return out
-
-    return run_many
-
-
-def build_fusion_table(
-    code: Dict[int, Instruction],
-    base: Dict[int, object],
-    effects: Dict[int, Tuple[object, str]],
-    oob_policy,
-) -> Tuple[Dict[int, Tuple[int, object]], Dict[int, object]]:
-    """The ``(fused, fast)`` dispatch tables.
-
-    ``fused`` maps ``address -> (consumed_steps, entry)`` for every
-    address where at least two consecutive instructions can run as one
-    dispatch; ``fast`` is ``base`` with those entries laid over it.  A
-    generated chain's entry is a :class:`LazyChain` that replaces itself
-    in both tables on its first call.
-    """
-    fused: Dict[int, Tuple[int, object]] = {}
-    fast: Dict[int, object] = dict(base)
-    for address in code:
-        chain_effects: List[object] = []
-        chain_instrs: List[Instruction] = []
-        rules: List[str] = []
-        cursor = address
-        while len(chain_effects) < MAX_INTERIOR and cursor in effects:
-            effect, rule = effects[cursor]
-            chain_effects.append(effect)
-            chain_instrs.append(code[cursor])
-            rules.append(rule)
-            cursor += 1
-        tail_instr = code.get(cursor)
-        follower = code.get(cursor + 1)
-
-        prefix_parts: List[str] = []
-        for rule in rules:
-            prefix_parts.append("fetch")
-            prefix_parts.append(rule)
-        prefix = tuple(prefix_parts)
-        for rule in prefix:
-            assert rule in _STEP_RESULTS, rule
-
-        # Preferred path: one generated function for the whole chain.
-        # Requires that no interior reads a program counter (the generated
-        # code defers pc bumps to one batched update, so intermediate pc
-        # values must be unobservable).
-        generated = None
-        if all(PC_G not in _INTERIOR_READS[type(instr)](instr)
-               and PC_B not in _INTERIOR_READS[type(instr)](instr)
-               for instr in chain_instrs):
-            generated = _codegen_chain(chain_instrs, prefix, tail_instr,
-                                       follower, oob_policy)
-        if generated is not None:
-            total, source, env = generated
-            if total >= 2:
-                entry = LazyChain(address, 2 * total, source, env, fused,
-                                  fast)
-                fused[address] = (2 * total, entry)
-                fast[address] = entry
-            continue
-
-        # Fallback: compose the per-instruction effect closures (which bump
-        # the pcs as they go) around a closure tail.  Reached when an
-        # interior reads a pc, or the tail is an instruction subclass with
-        # no source template.
-        tail = None
-        tail_count = 0
-        if tail_instr is not None:
-            if (type(tail_instr) is Jmp and tail_instr.color is _GREEN
-                    and type(follower) is Jmp and follower.color is _BLUE):
-                tail = _fuse_jmp_pair(tail_instr, follower)
-                tail_count = 2
-            elif (type(tail_instr) is Bz and tail_instr.color is _GREEN
-                    and type(follower) is Bz and follower.color is _BLUE):
-                tail = _fuse_bz_pair(tail_instr, follower)
-                tail_count = 2
-            else:
-                tail = base.get(cursor)
-                tail_count = 1 if tail is not None else 0
-        total = len(chain_effects) + tail_count
-        if total < 2:
-            continue
-        entry = _make_chain(chain_effects, prefix, tail)
-        fused[address] = (2 * total, entry)
-        fast[address] = entry
-    return fused, fast
+    interiors: List[Instruction] = []
+    cursor = address
+    while len(interiors) < MAX_INTERIOR and fusable(code.get(cursor)):
+        interiors.append(code[cursor])
+        cursor += 1
+    count, source, env = _codegen_chain(
+        interiors, code.get(cursor), code.get(cursor + 1), oob_policy)
+    if count < 2:
+        return base[address]
+    exec(compile(source, "<fused-chain>", "exec"), env)
+    get_registry().counter("exec_fused_chains_compiled_total").inc()
+    return env["_chain"]

@@ -71,20 +71,13 @@ class Program:
             observable_min=self.observable_min,
         )
 
-    def check(self, jobs: "int | None" = None) -> CheckedProgram:
+    def check(self) -> CheckedProgram:
         """Type-check the program (``Psi |- C``).
-
-        ``jobs=None`` (or ``1``) checks serially; ``jobs=N`` checks the
-        basic blocks across ``N`` worker processes (``0`` = one per CPU)
-        with identical results and diagnostics (see
-        :mod:`repro.types.parallel`).
 
         Raises :class:`repro.types.TypeCheckError` on failure.
         """
         return check_program(
-            self.code, self.label_types, self.data_psi, self.hints,
-            jobs=jobs,
-        )
+            self.code, self.label_types, self.data_psi, self.hints)
 
     def address_of(self, label: str) -> int:
         try:

@@ -11,7 +11,8 @@ only execute the constrained order.
 The functional pass defaults to the compiled execution backend
 (:mod:`repro.exec`): fused chains cover runs of consecutive addresses, so
 the executed-address stream is recovered as ``range(pc, pc + n)`` per
-dispatch instead of one interpreter round-trip per small step.  Block
+dispatch instead of one interpreter round-trip per small step, and only
+the chains the run dispatches are ever planned.  Block
 paths, per-block instruction lists and static schedules are all memoized
 in the shared execution cache (:func:`repro.exec.get_aux`), so timing the
 same kernel under several machine configurations -- the Figure 10 sweep --
@@ -103,16 +104,17 @@ def record_block_path(
         # exactly range(pc, pc + len(ret) // 2).  Anything the closures
         # cannot drive (pending ir, pc disagreement, missing instruction,
         # a 1-step budget remainder) falls through to interpreter steps.
+        from repro.exec.fusion import MAX_QUANTUM
+
         regs = state.regs._regs
         fast_get = compiled_exec.fast.get
         base_get = compiled_exec.base.get
-        quantum = compiled_exec.max_quantum
         while steps < max_steps and not state.is_terminal:
             if state.ir is None:
                 pcg = regs[PC_G][1]
                 if pcg == regs[PC_B][1]:
                     remaining = max_steps - steps
-                    if remaining >= quantum:
+                    if remaining >= MAX_QUANTUM:
                         fn = fast_get(pcg)
                     elif remaining >= 2:
                         fn = base_get(pcg)

@@ -14,12 +14,10 @@ merely shrinks the set of accepted programs (to those whose control flow
 targets labels, which is every program a compiler emits).
 
 Because every block starts from its *declared* precondition, the blocks
-are mutually independent given ``label_types``: checking them in any order
-(or in parallel -- see :mod:`repro.types.parallel`) produces the same
-per-address contexts and, on ill-typed programs, the same first
-diagnostic, which is always the lowest-addressed error (blocks are
-contiguous address ranges and each block's check stops at its first
-error).
+are mutually independent given ``label_types``.  They are checked in
+address order, so on ill-typed programs the first diagnostic is always the
+lowest-addressed error (blocks are contiguous address ranges and each
+block's check stops at its first error).
 
 :func:`check_program` returns a :class:`CheckedProgram` carrying the
 per-address contexts, which the machine-state typing judgment and the
@@ -193,19 +191,12 @@ def check_program(
     label_types: Mapping[int, CodeType],
     data_psi: Mapping[int, BasicType],
     hints: Optional[Mapping[int, InstructionHint]] = None,
-    jobs: Optional[int] = None,
 ) -> CheckedProgram:
     """Check ``Psi |- C`` and return the computed per-address contexts.
 
     ``label_types`` declares the code type of each block entry;
     ``data_psi`` types the data addresses; ``hints`` maps code addresses to
     their :class:`InstructionHint`.
-
-    ``jobs`` selects the execution strategy: ``None`` or ``1`` checks the
-    blocks serially in this process; ``N > 1`` fans them out over ``N``
-    worker processes; ``0`` uses one worker per CPU.  Every strategy
-    produces an identical :class:`CheckedProgram` and, on ill-typed input,
-    raises the identical (lowest-addressed) :class:`TypeCheckError`.
 
     Raises :class:`TypeCheckError` (with the offending address) on failure.
     """
@@ -219,21 +210,11 @@ def check_program(
         blocks = _split_blocks(addresses, label_types)
 
         contexts: Dict[int, StaticContext] = {}
-        if jobs is not None and jobs != 1 and len(blocks) > 1:
-            from repro.types.parallel import check_blocks_parallel
-
-            for block_contexts in check_blocks_parallel(
-                psi, code, label_types, hints, blocks, jobs
-            ):
-                contexts.update(block_contexts)
-        else:
-            block_seconds = registry.histogram("typecheck_block_seconds")
-            for block in blocks:
-                block_start = _perf_counter()
-                contexts.update(
-                    _check_block(psi, code, label_types, hints, block)
-                )
-                block_seconds.observe(_perf_counter() - block_start)
+        block_seconds = registry.histogram("typecheck_block_seconds")
+        for block in blocks:
+            block_start = _perf_counter()
+            contexts.update(_check_block(psi, code, label_types, hints, block))
+            block_seconds.observe(_perf_counter() - block_start)
         registry.counter("typecheck_blocks_total").inc(len(blocks))
         registry.counter("typecheck_instructions_total").inc(len(addresses))
 

@@ -13,7 +13,7 @@ def _rebuild_error(cls, args, address):
     The constructor formats the address into the message; naive unpickling
     would re-run it on the already-formatted message (duplicating the
     location suffix) and lose ``address``.  Used by ``__reduce__`` so
-    errors cross process boundaries intact (parallel block checking).
+    errors cross process boundaries intact.
     """
     error = cls.__new__(cls)
     Exception.__init__(error, *args)

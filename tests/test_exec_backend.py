@@ -6,8 +6,8 @@ step count, rule-name sequence, final register bank, store-queue contents,
 memory, machine status and pending instruction register.  The sweeps cover
 the places fusion could plausibly diverge -- faults landing between the
 halves of a fused pair, step budgets that split chains mid-way, the RANDOM
-out-of-bounds policy, and multi-fault schedules.  Fused chains compile on
-their first dispatch, so the sweeps start from a cold cache, and threads
+out-of-bounds policy, and multi-fault schedules.  Fused chains are planned
+on their first dispatch, so the sweeps start from a cold cache, and threads
 race on those first dispatches.
 """
 
@@ -16,13 +16,15 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.colors import Color, green
 from repro.core.faults import QueueZapAddress, QueueZapValue, RegZap
+from repro.core.instructions import ArithRRI, ArithRRR, Halt, Mov, Store
 from repro.core.machine import Machine
 from repro.core.semantics import KNOWN_RULES, OobPolicy
-from repro.core.tracing import trace_execution
 from repro.exec import (
     clear_exec_caches,
     compile_program,
@@ -30,12 +32,12 @@ from repro.exec import (
     exec_cache_stats,
     get_compiled,
     run_compiled,
-    trace_events_compiled,
 )
-from repro.exec.fusion import LazyChain
+from repro.exec.fusion import MAX_QUANTUM
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.multifault import run_multifault_campaign
 from repro.workloads import ALL_KERNELS, compile_kernel
+from tests.helpers import boot_state
 
 #: The shortest-running kernel (loads, stores, arithmetic and both
 #: transfer kinds) -- cheap enough to sweep exhaustively.
@@ -179,23 +181,8 @@ def test_multifault_engine_report_parity():
 
 
 # ---------------------------------------------------------------------------
-# Trace events and campaign reports
+# Campaign reports
 # ---------------------------------------------------------------------------
-
-
-def test_trace_event_parity():
-    program = _program("vpr")
-    interpreter = trace_execution(program.boot(), max_steps=4001)
-    compiled = trace_events_compiled(program.boot(), max_steps=4001)
-    assert interpreter == compiled
-
-
-def test_trace_execution_backend_param():
-    program = _program()
-    assert trace_execution(program.boot(), max_steps=500) == \
-        trace_execution(program.boot(), max_steps=500, backend="compiled")
-    with pytest.raises(ValueError):
-        trace_execution(program.boot(), backend="jit")
 
 
 def test_campaign_report_parity():
@@ -238,30 +225,52 @@ def test_program_cache_shared():
 
 
 # ---------------------------------------------------------------------------
-# Lazy chain compilation
+# Chains planned on first dispatch
 # ---------------------------------------------------------------------------
+
+
+def _chain_steps(entry):
+    """The most small steps one call of a generated chain can consume.
+
+    Every outcome of a generated chain returns one of the constant rule
+    tuples in its globals, so the longest of them is its quantum."""
+    return max(len(value) for value in entry.__globals__.values()
+               if isinstance(value, tuple) and value
+               and all(isinstance(rule, str) for rule in value))
+
+
+def _is_chain(compiled, address):
+    entry = compiled.fast[address]
+    return (entry is not compiled.planner
+            and entry is not compiled.base[address])
 
 
 @pytest.mark.parametrize("mode", ("ft", "baseline", "swift"))
 def test_every_planned_chain_compiles(mode):
-    """Compile every planned chain of every kernel, not only those a run
-    dispatches: a template emitting invalid Python would otherwise fail
-    only at a rarely dispatched address."""
+    """Plan every address of every kernel through the planner, not only
+    those a run dispatches: a template emitting invalid Python would
+    otherwise fail only at a rarely dispatched address."""
     cases = [(name, OobPolicy.TRAP) for name in ALL_KERNELS]
     cases.append(("vpr", OobPolicy.RANDOM))
     for name, policy in cases:
         compiled = compile_program(_program(name, mode).code, policy)
-        for address, (consumed, entry) in list(compiled.fused.items()):
-            if isinstance(entry, LazyChain):
-                chain = entry.install()
-                assert compiled.fused[address] == (consumed, chain)
-                assert compiled.fast[address] is chain
+        assert all(entry is compiled.planner
+                   for entry in compiled.fast.values())
+        chains = 0
+        for address in compiled.code:
+            entry = compiled.plan(address)
+            assert compiled.fast[address] is entry
+            if entry is not compiled.base[address]:
+                assert 4 <= _chain_steps(entry) <= MAX_QUANTUM, \
+                    (name, address)
+                chains += 1
+        assert chains, name
 
 
 def test_racing_first_dispatches_match_interpreter():
-    """Threads sharing one cold compilation race on chains' first
-    dispatches (no lock guards them); every thread must still observe
-    exactly what the interpreter does for its own fault."""
+    """Threads sharing one cold compilation race on first dispatches
+    through the planner (no lock guards them); every thread must still
+    observe exactly what the interpreter does for its own fault."""
     program = _program()
     registers = sorted(program.boot().regs._regs)
     cases = [(11, RegZap("pcG", 7))] + [
@@ -272,8 +281,7 @@ def test_racing_first_dispatches_match_interpreter():
                 for at, fault in cases]
     clear_exec_caches()
     compiled = compiled_for(program.boot())
-    assert all(isinstance(entry, LazyChain)
-               for _, entry in compiled.fused.values())
+    assert all(entry is compiled.planner for entry in compiled.fast.values())
     barrier = threading.Barrier(len(cases))
     observed = [None] * len(cases)
 
@@ -296,7 +304,60 @@ def test_racing_first_dispatches_match_interpreter():
         sys.setswitchinterval(interval)
     assert observed == expected
     assert get_compiled(program.code) is compiled
-    # Every install writes both tables, so they agree on what is compiled.
-    for address, (_, entry) in compiled.fused.items():
-        assert isinstance(entry, LazyChain) == \
-            isinstance(compiled.fast[address], LazyChain)
+    # A planned slot holds a chain or, where fewer than two instructions
+    # fuse, the base closure -- whichever racing install won, it is what
+    # planning that address afresh gives.
+    planned = [address for address, entry in compiled.fast.items()
+               if entry is not compiled.planner]
+    assert any(_is_chain(compiled, address) for address in planned)
+    fresh = compile_program(program.code)
+    for address in planned:
+        assert _is_chain(compiled, address) == \
+            (fresh.plan(address) is not fresh.base[address])
+
+
+def _pc_reading_program(groups=5):
+    """Straight-line code in which every group of seven instructions has
+    an ALU interior reading ``pcG`` and stores to an observable word;
+    five groups run 72 steps, so runs start in the fast loop."""
+    G, B = Color.GREEN, Color.BLUE
+    code = {}
+    for group in range(groups):
+        for instruction in (
+            Mov("r1", green(3 + group)),
+            ArithRRI("add", "r2", "r1", green(1)),
+            ArithRRR("add", "r3", "pcG", "r2"),
+            ArithRRI("mul", "r4", "r3", green(2)),
+            Mov("r5", green(256 + group)),
+            Store(G, "r5", "r4"),
+            Store(B, "r5", "r4"),
+        ):
+            code[len(code) + 1] = instruction
+    code[len(code) + 1] = Halt()
+    return SimpleNamespace(code=code, boot=lambda: boot_state(code))
+
+
+def test_chain_stops_before_an_interior_reading_pcG():
+    """An interior that reads a program counter ends the chain before it
+    (a chain bumps the pcs once, after its interiors), and the reader
+    runs as its own base closure.  Compiled runs still match the
+    interpreter at every step budget and after register zaps."""
+    program = _pc_reading_program()
+    compiled = compile_program(program.code)
+    state = program.boot()
+    regs = state.regs._regs
+    assert compiled.plan(1)(state, regs, [].append, None) == \
+        ("fetch", "mov", "fetch", "op1r")
+    assert regs["pcG"][1] == regs["pcB"][1] == 3
+    assert compiled.plan(3) is compiled.base[3]
+    assert compiled.plan(4) is not compiled.base[4]
+
+    length = _run_both(program, max_steps=1000)[0][2]
+    assert length == 2 * len(program.code) > MAX_QUANTUM
+    for max_steps in range(1, length + 1):
+        clear_exec_caches()
+        _run_both(program, max_steps=max_steps)
+    for at in range(length):
+        for fault in (RegZap("r2", 999), RegZap("pcG", 3)):
+            clear_exec_caches()
+            _run_both(program, fault=fault, at=at, max_steps=1000)

@@ -29,12 +29,6 @@ def reject(body, match=None):
         program.check()
     if match is not None:
         assert match in str(excinfo.value), str(excinfo.value)
-    # The parallel checker must surface the identical first diagnostic
-    # (same message, same address) for every ill-typed program.
-    with pytest.raises(TypeCheckError) as parallel_excinfo:
-        program.check(jobs=2)
-    assert str(parallel_excinfo.value) == str(excinfo.value)
-    assert parallel_excinfo.value.address == excinfo.value.address
     return program
 
 

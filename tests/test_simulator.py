@@ -44,7 +44,6 @@ from repro.simulator.deps import (
 )
 from repro.compiler import compile_source
 from repro.exec import clear_exec_caches, get_compiled
-from repro.exec.fusion import LazyChain
 from repro.observe import MetricsRegistry, set_registry
 from repro.workloads import ALL_KERNELS, compile_kernel
 
@@ -591,8 +590,8 @@ class TestRunner:
                 record_block_path(compiled, backend="compiled"), mode
 
     def test_block_path_compiles_only_dispatched_chains(self):
-        """Compiling a program compiles no chain; a fault-free pass then
-        compiles each chain it dispatches once, and not every chain."""
+        """Compiling a program plans no chain; a fault-free pass then
+        plans each address it dispatches once, and not every address."""
         compiled = compile_kernel("vpr", "ft")
         registry = MetricsRegistry()
         previous = set_registry(registry)
@@ -601,15 +600,17 @@ class TestRunner:
             compiled_exec = get_compiled(compiled.program.code)
             chains = registry.counter("exec_fused_chains_compiled_total")
             assert chains.value == 0
+            assert all(entry is compiled_exec.planner
+                       for entry in compiled_exec.fast.values())
             record_block_path(compiled)
         finally:
             set_registry(previous)
-        pending = sum(isinstance(entry, LazyChain)
-                      for _, entry in compiled_exec.fused.values())
-        assert 0 < chains.value < compiled_exec.fused_sites
-        # Every vpr chain is generated, so each fused site is either
-        # still pending or was compiled exactly once.
-        assert pending == compiled_exec.fused_sites - chains.value
+        holding_chains = sum(
+            entry is not compiled_exec.planner
+            and entry is not compiled_exec.base[address]
+            for address, entry in compiled_exec.fast.items())
+        assert chains.value == holding_chains
+        assert 0 < holding_chains < compiled_exec.size
 
 
 class TestStallAccounting:

@@ -1,17 +1,18 @@
 """Tests for the execution tracer and the `talft trace` command."""
 
 import os
+import re
 from dataclasses import dataclass
 
 import pytest
 
+from repro.asm import parse_program
 from repro.cli import main
-from repro.core import semantics
+from repro.core import Machine, RegZap, semantics
 from repro.core.colors import green
 from repro.core.instructions import Halt, Instruction, Mov
 from repro.core.semantics import StepResult
 from repro.core.tracing import format_trace, trace_execution
-from repro.exec import trace_events_compiled
 from tests.helpers import (
     boot_state,
     countdown_loop_program,
@@ -99,7 +100,7 @@ def write_and_halt_rule():
 class TestTerminalStepChanges:
     """The final step's register writes must appear in the trace.
 
-    Regression: both tracers used to guard the register diff with
+    Regression: the tracer used to guard the register diff with
     ``not state.is_terminal``, silently dropping any write made by a
     rule that also terminated the machine.
     """
@@ -114,22 +115,6 @@ class TestTerminalStepChanges:
         before, after = last.changes["r1"]
         assert before.value == 0 and after.value == 99
 
-    def test_compiled_twin_keeps_terminal_write(self, write_and_halt_rule):
-        # The compiler rejects the unknown instruction, so the compiled
-        # tracer takes its interpreter fallback path -- the second site
-        # of the same dropped-diff bug.
-        events = trace_events_compiled(boot_state(self.CODE), max_steps=100)
-        last = events[-1]
-        assert last.rule == "write-and-halt"
-        assert "r1" in last.changes
-        assert last.changes["r1"][1].value == 99
-
-    def test_backends_agree_on_terminal_step(self, write_and_halt_rule):
-        interp = trace_execution(boot_state(self.CODE), max_steps=100)
-        compiled = trace_events_compiled(boot_state(self.CODE),
-                                         max_steps=100)
-        assert interp == compiled
-
     def test_halt_still_shows_no_changes(self):
         # A plain halt writes nothing; removing the guard must not
         # invent changes on ordinary terminal steps.
@@ -137,13 +122,6 @@ class TestTerminalStepChanges:
         events = trace_execution(boot_state(code), max_steps=100)
         assert events[-1].rule == "halt"
         assert events[-1].changes == {}
-
-    def test_full_trace_parity_across_backends(self):
-        for program in (paper_store_program(), countdown_loop_program(2)):
-            interp = trace_execution(program.boot(), max_steps=10_000)
-            compiled = trace_events_compiled(program.boot(),
-                                             max_steps=10_000)
-            assert interp == compiled
 
 
 class TestTraceCommand:
@@ -162,3 +140,21 @@ class TestTraceCommand:
         assert "FAULT INJECTED" in out
         assert "stB-mem-fail" in out
         assert "status: fault" in out
+
+    def test_fault_trace_follows_the_injected_run(self, capsys):
+        """The trace around a ``--fault`` fires exactly the rules of the
+        interpreter's run with that fault injected at that step, and its
+        step numbers run on across the injection."""
+        assert main(["trace", self.STORE, "--steps", "30",
+                     "--fault", "r2=300@4"]) == 0
+        out = capsys.readouterr().out
+        events = re.findall(r"^ *(\d+)  @\d+ +(\S+)", out, re.MULTILINE)
+        with open(self.STORE) as handle:
+            state = parse_program(handle.read()).boot()
+        trace = Machine(state, record_rules=True, backend="step").run(
+            max_steps=30, fault=RegZap("r2", 300), fault_at_step=4)
+        assert [rule for _, rule in events] == trace.rules
+        assert [int(step) for step, _ in events] == list(range(trace.steps))
+        banner = out.index("FAULT INJECTED: reg-zap r2 := 300")
+        assert out.rindex("mov r2, G256", 0, banner) > 0
+        assert out.endswith(f"status: {state.status.value}\n")

@@ -1,14 +1,12 @@
-"""The high-throughput checker machinery: hash-consing, memo caches,
-substitution hashing, and serial/parallel equivalence.
+"""The high-throughput checker machinery: hash-consing, memo caches and
+substitution hashing.
 
 These tests pin the invariants the fast paths rely on:
 
 * interning -- structural equality implies pointer identity, hashes are
   stable, free-variable sets are precomputed, pickling re-interns;
 * the LRU caches are bounded and survive ``clear_normalization_caches``;
-* ``Subst`` hashes consistently with its equality;
-* ``check_program`` produces identical results and diagnostics whether
-  the blocks are checked serially or across a process pool.
+* ``Subst`` hashes consistently with its equality.
 """
 
 import pickle
@@ -31,7 +29,6 @@ from repro.statics import (
     normalization_cache_stats,
     normalize_int,
 )
-from repro.workloads import ALL_KERNELS, compile_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -153,36 +150,3 @@ class TestSubstHash:
     def test_hash_stable_across_calls(self):
         subst = Subst({"x": BinExpr("add", Var("y"), IntConst(3))})
         assert hash(subst) == hash(subst)
-
-
-# ---------------------------------------------------------------------------
-# Serial vs parallel block checking
-# ---------------------------------------------------------------------------
-
-
-PARITY_KERNELS = ("gzip", "gcc", "pegwit")
-
-
-class TestParallelParity:
-    @pytest.mark.parametrize("kernel", PARITY_KERNELS)
-    def test_identical_checked_program(self, kernel):
-        program = compile_kernel(kernel, "ft").program
-        serial = program.check()
-        parallel = program.check(jobs=2)
-        assert serial.psi == parallel.psi
-        assert serial.labels == parallel.labels
-        assert list(serial.contexts) == list(parallel.contexts)
-        assert serial.contexts == parallel.contexts
-
-    def test_every_kernel_checks_in_parallel(self):
-        # Cheap smoke over the whole suite: the pool path accepts every
-        # well-typed kernel (full equality is covered above).
-        for kernel in ALL_KERNELS:
-            program = compile_kernel(kernel, "ft").program
-            checked = program.check(jobs=2)
-            assert len(checked.contexts) == program.size
-
-    def test_jobs_zero_means_auto(self):
-        program = compile_kernel("gzip", "ft").program
-        checked = program.check(jobs=0)
-        assert len(checked.contexts) == program.size
