@@ -141,8 +141,6 @@ def cmd_time(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.core.faults import apply_fault
     from repro.core.tracing import format_trace, trace_execution
 
@@ -157,8 +155,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"    *** FAULT INJECTED: {fault.describe()} ***")
         tail = trace_execution(state, max_steps=args.steps - at_step)
         for event in tail:
-            # Number the faulty tail on from the injection step.
-            print(replace(event, step=at_step + event.step).format())
+            print(event.format())
     else:
         print(format_trace(trace_execution(state, max_steps=args.steps)))
     print(f"status: {state.status.value}")

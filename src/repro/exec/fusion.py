@@ -37,9 +37,9 @@ A fused chain is ``interior* tail?``:
   pairs ``jmpG``+``jmpB`` / ``bzG``+``bzB`` / ``ldG``+``ldB``, inlined here
   with their full dynamic outcome structure (the load pair requires the
   green destination not be a program counter, so its intermediate fetch
-  stays a provable no-op on every success path).  An interior that names
-  a program counter, or a tail with no template (an instruction
-  subclass), ends the chain before it.
+  stays a provable no-op on every success path).  An interior-kind
+  instruction that names a program counter, or a tail with no template
+  (an instruction subclass), ends the chain before it.
 
 **Why fusion cannot mask a fault.**  Fused chains are only entered by a
 driver that has just re-checked the fetch preconditions against the live
@@ -393,7 +393,7 @@ def _gen_tail(instr: Optional[Instruction], follower: Optional[Instruction],
             env["_CVn"] = ColoredValue
         return 1
 
-    if kind is Store:  # blue: commit the oldest queued store
+    if kind is Store and instr.color is _BLUE:  # commit the oldest store
         rd, rs = instr.rd, instr.rs
         body.append(f"    _sa = regs[{rd!r}][1]")
         body.append(f"    _sv = regs[{rs!r}][1]")

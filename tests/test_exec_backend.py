@@ -122,8 +122,8 @@ def test_exhaustive_zap_sweep():
     This is the case fusion must not get wrong: the injection lands at
     exact small-step granularity, including *between* the two halves of
     what the compiled backend fuses into one dispatch.  Starting cold,
-    chains also compile on first dispatches from the fast loop, the
-    careful loop and mid-chain entries after a ``pcG`` zap.
+    chains are also planned on first dispatches from the fast loop,
+    including mid-chain entries after a ``pcG`` zap.
     """
     clear_exec_caches()
     program = _program()
@@ -144,8 +144,8 @@ def test_exhaustive_zap_sweep():
 def test_step_budget_parity():
     """Budgets that split fused chains mid-way, incl. mid-instruction.
 
-    Starts cold, so chains first compile from the careful loop at budget
-    splits."""
+    Starts cold, so each budget split decides which addresses the fast
+    loop plans before the careful loop takes over on base closures."""
     clear_exec_caches()
     program = _program()
     for max_steps in (0, 1, 2, 3, 5, 17, 33, 101):
@@ -317,12 +317,15 @@ def test_racing_first_dispatches_match_interpreter():
 
 
 def _pc_reading_program(groups=5):
-    """Straight-line code in which every group of seven instructions has
-    an ALU interior reading ``pcG`` and stores to an observable word;
-    five groups run 72 steps, so runs start in the fast loop."""
+    """Straight-line code in which every group of fifteen instructions
+    names ``pcG`` three times -- in an ALU interior, as a green store's
+    value and as a green store's address -- each after two fusable
+    interiors, and commits every green store to memory; five groups run
+    152 steps, so runs start in the fast loop."""
     G, B = Color.GREEN, Color.BLUE
     code = {}
     for group in range(groups):
+        base = len(code) + 1
         for instruction in (
             Mov("r1", green(3 + group)),
             ArithRRI("add", "r2", "r1", green(1)),
@@ -331,6 +334,14 @@ def _pc_reading_program(groups=5):
             Mov("r5", green(256 + group)),
             Store(G, "r5", "r4"),
             Store(B, "r5", "r4"),
+            Mov("r6", green(base + 9)),
+            ArithRRI("add", "r7", "r6", green(0)),
+            Store(G, "r5", "pcG"),
+            Store(B, "r5", "r6"),
+            Mov("r6", green(base + 13)),
+            ArithRRI("add", "r7", "r6", green(0)),
+            Store(G, "pcG", "r4"),
+            Store(B, "r6", "r4"),
         ):
             code[len(code) + 1] = instruction
     code[len(code) + 1] = Halt()
@@ -338,18 +349,22 @@ def _pc_reading_program(groups=5):
 
 
 def test_chain_stops_before_an_interior_reading_pcG():
-    """An interior that reads a program counter ends the chain before it
-    (a chain bumps the pcs once, after its interiors), and the reader
-    runs as its own base closure.  Compiled runs still match the
-    interpreter at every step budget and after register zaps."""
+    """An interior-kind instruction that names a program counter -- an
+    ALU reader, or a green store of or to one -- ends the chain before it
+    (a chain bumps the pcs once, after its interiors), and runs as its
+    own base closure.  Compiled runs still match the interpreter at every
+    step budget and after register zaps."""
     program = _pc_reading_program()
     compiled = compile_program(program.code)
-    state = program.boot()
-    regs = state.regs._regs
-    assert compiled.plan(1)(state, regs, [].append, None) == \
-        ("fetch", "mov", "fetch", "op1r")
-    assert regs["pcG"][1] == regs["pcB"][1] == 3
-    assert compiled.plan(3) is compiled.base[3]
+    for head, reader in ((1, 3), (8, 10), (12, 14)):
+        state = program.boot()
+        regs = state.regs._regs
+        regs["pcG"] = regs["pcB"] = green(head)
+        assert compiled.plan(head)(state, regs, [].append, None) == \
+            ("fetch", "mov", "fetch", "op1r")
+        assert regs["pcG"][1] == regs["pcB"][1] == reader
+        assert not state.queue.pairs()
+        assert compiled.plan(reader) is compiled.base[reader]
     assert compiled.plan(4) is not compiled.base[4]
 
     length = _run_both(program, max_steps=1000)[0][2]

