@@ -10,7 +10,7 @@ This walks the paper's Section 2.2 store example end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro.asm import format_program, parse_program
+from repro.asm import emit_tal, parse_program
 from repro.core import Machine, RegZap
 
 SOURCE = """
@@ -35,8 +35,7 @@ main:
 def main() -> None:
     program = parse_program(SOURCE)
     print("assembled program:")
-    print(format_program(program))
-    print()
+    print(emit_tal(program))
 
     program.check()
     print("type check: OK (the program is provably fault tolerant)")

@@ -3,15 +3,12 @@
 from repro.asm.lexer import Token, TokenStream, tokenize
 from repro.asm.emitter import emit_tal, render_expr
 from repro.asm.parser import assemble_file, parse_program
-from repro.asm.printer import format_context, format_program
 
 __all__ = [
     "Token",
     "TokenStream",
     "assemble_file",
     "emit_tal",
-    "format_context",
-    "format_program",
     "parse_program",
     "render_expr",
     "tokenize",

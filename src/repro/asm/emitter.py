@@ -3,17 +3,22 @@
 The inverse of :func:`repro.asm.parser.parse_program`: emits directives,
 data segment, labeled blocks with full ``.pre`` preconditions, and jump
 hints, such that parsing the output yields an equivalent program (same
-code, same types up to expression normalization, same boot state).  The
-round trip is exercised by the test-suite on compiled kernels.
+code, same types up to expression normalization, same boot state).  A
+program without label types (the compiler's baseline and SWIFT builds)
+is emitted untyped: labels without ``.pre`` and data words without type
+annotations.  Every instruction line ends with its code address as a
+comment.  The round trip is exercised by the test-suite on compiled
+kernels.
 
-Main use: ``talft compile prog.mwl --emit-tal out.tal`` -- persist the
-reliability transformation's output (with its typing interface) as a
-standalone checkable artifact.
+``.tal`` text is the one form in which a program leaves the process:
+``talft compile prog.mwl --emit-tal out.tal`` writes it, ``--listing``
+prints it, and remote shard jobs carry it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import groupby
+from typing import Dict, List
 
 from repro.core.colors import Color
 from repro.core.errors import ReproError
@@ -32,7 +37,7 @@ from repro.core.instructions import (
     PlainStore,
     Store,
 )
-from repro.core.registers import DEST, PC_B, PC_G, gpr, gpr_index
+from repro.core.registers import DEST, PC_B, PC_G, gpr_index
 from repro.program import Program
 from repro.statics.expressions import (
     BinExpr,
@@ -43,7 +48,6 @@ from repro.statics.expressions import (
     Upd,
     Var,
 )
-from repro.statics.kinds import KIND_INT, KIND_MEM
 from repro.types.syntax import (
     CodeType,
     CondType,
@@ -193,6 +197,13 @@ class _Emitter:
 
     def emit(self) -> str:
         program = self.program
+        addresses = sorted(program.code)
+        if addresses != list(range(1, len(addresses) + 1)):
+            raise ReproError("code addresses must run 1, 2, 3, ... "
+                             "without gaps")
+        labeled = program.label_types or self.names
+        if addresses and addresses[0] not in labeled:
+            raise ReproError("the first instruction carries no label")
         lines: List[str] = [
             "; emitted by repro.asm.emitter -- re-parseable TAL_FT assembly",
             f".gprs {program.num_gprs}",
@@ -202,13 +213,9 @@ class _Emitter:
             for name, color in program.gpr_colors.items()
             if color is Color.BLUE
         )
-        if blue:
-            low, high = blue[0], blue[-1]
-            if blue != list(range(low, high + 1)):
-                raise ReproError(
-                    "only contiguous blue boot pools can be serialized"
-                )
-            lines.append(f".bluepool {low} {high}")
+        for _, run in groupby(enumerate(blue), lambda pair: pair[1] - pair[0]):
+            indices = [index for _, index in run]
+            lines.append(f".bluepool {indices[0]} {indices[-1]}")
         if program.observable_min:
             lines.append(f".observable {program.observable_min}")
         entry_name = self.names.get(program.entry)
@@ -230,19 +237,20 @@ class _Emitter:
                 )
         lines.append("")
         lines.append(".code")
-        for address in sorted(program.code):
+        for address in addresses:
+            if address in labeled:
+                lines.append(f"{self.names[address]}:")
             declared = program.label_types.get(address)
             if declared is not None:
-                lines.append(f"{self.names[address]}:")
                 lines.extend(
                     self.render_precondition(address, declared.context)
                 )
-            lines.append(
-                f"  {self.render_instruction(address, program.code[address])}"
-            )
+            text = self.render_instruction(address, program.code[address])
+            lines.append(f"  {text:<28} ; {address}")
         return "\n".join(lines) + "\n"
 
 
 def emit_tal(program: Program) -> str:
-    """Serialize ``program`` (with its typing interface) to ``.tal`` text."""
+    """Serialize ``program`` (with its typing interface, if it has one)
+    to ``.tal`` text."""
     return _Emitter(program).emit()

@@ -38,6 +38,11 @@ The precondition shorthand ``rest: zero`` types every unmentioned
 general-purpose register as ``(G, int, 0)``; ``pcG``/``pcB`` default to the
 label's own address and ``d`` to ``(G, int, 0)``.
 
+``.pre`` is all-or-nothing: a file in which no label carries one is an
+*untyped* program (the compiler's baseline and SWIFT builds), with no
+label types and untyped data words.  ``.bluepool lo hi`` may repeat; each
+adds one range of registers that boot blue.
+
 Code types are resolved by label reference; cyclic references are rejected
 (the frozen type representation cannot express recursive types -- type the
 register as ``int`` and re-establish the pointer with ``mov`` instead).
@@ -66,7 +71,14 @@ from repro.core.instructions import (
     PlainStore,
     Store,
 )
-from repro.core.registers import DEST, PC_B, PC_G, gpr_range, is_register
+from repro.core.registers import (
+    DEST,
+    PC_B,
+    PC_G,
+    gpr,
+    gpr_range,
+    is_register,
+)
 from repro.asm.lexer import Token, TokenStream, tokenize
 from repro.program import Program
 from repro.statics.expressions import (
@@ -134,7 +146,7 @@ class RawPrecondition:
 @dataclass
 class RawBlock:
     label: str
-    precondition: RawPrecondition
+    precondition: Optional[RawPrecondition]  # None in untyped programs
     instructions: List[Tuple[Instruction, Optional[InstructionHint]]]
 
 
@@ -157,8 +169,8 @@ class _Parser:
         self.entry_label: Optional[str] = None
         self.data: List[RawData] = []
         self.blocks: List[RawBlock] = []
-        #: Inclusive register-index range booted blue (``.bluepool lo hi``).
-        self.blue_pool: Optional[Tuple[int, int]] = None
+        #: Inclusive register-index ranges booted blue (``.bluepool lo hi``).
+        self.blue_pools: List[Tuple[int, int]] = []
         #: First observable memory address (``.observable N``; default 0).
         self.observable_min = 0
 
@@ -483,7 +495,9 @@ class _Parser:
             # A label is IDENT ':' at the start of a line.
             label = self.stream.expect("IDENT", skip_newlines=True).text
             self.stream.expect("PUNCT", ":")
-            precondition = self.parse_precondition()
+            precondition = None
+            if self.stream.peek(skip_newlines=True).text == ".pre":
+                precondition = self.parse_precondition()
             instructions: List[Tuple[Instruction, Optional[InstructionHint]]] = []
             while True:
                 self.stream.skip_newlines()
@@ -519,7 +533,7 @@ class _Parser:
                 self.stream.next(skip_newlines=True)
                 low = int(self.stream.expect("INT").text)
                 high = int(self.stream.expect("INT").text)
-                self.blue_pool = (low, high)
+                self.blue_pools.append((low, high))
             elif token.kind == "IDENT" and token.text == ".entry":
                 self.stream.next(skip_newlines=True)
                 self.entry_label = self.stream.expect("IDENT").text
@@ -583,10 +597,15 @@ class _Resolver:
         self._resolving: List[str] = []
 
     def resolve(self) -> Program:
+        typed = self.parsed.blocks[0].precondition is not None
         address = 1
         for block in self.parsed.blocks:
             if block.label in self.addresses:
                 raise AsmError(f"duplicate label {block.label!r}")
+            if (block.precondition is not None) != typed:
+                raise AsmError(
+                    f"label {block.label!r}: either every label carries a "
+                    ".pre or none does")
             self.addresses[block.label] = address
             self.preconditions[block.label] = block.precondition
             address += len(block.instructions)
@@ -596,17 +615,21 @@ class _Resolver:
         for raw in self.parsed.data:
             if raw.address in initial_memory:
                 raise AsmError(f"duplicate data address {raw.address}")
-            pointee = self.resolve_basic(raw.basic)
-            data_psi[raw.address] = RefType(pointee)
+            if typed:
+                data_psi[raw.address] = RefType(self.resolve_basic(raw.basic))
+            elif raw.basic != "int":
+                raise AsmError(f"data word {raw.address}: an untyped "
+                               "program (no .pre) has untyped data")
             if isinstance(raw.value, _PendingLabel):
                 initial_memory[raw.address] = self.address_of(raw.value.name)
             else:
                 initial_memory[raw.address] = raw.value
 
         label_types: Dict[int, CodeType] = {}
-        for block in self.parsed.blocks:
-            label_types[self.addresses[block.label]] = \
-                self.code_type_of(block.label)
+        if typed:
+            for block in self.parsed.blocks:
+                label_types[self.addresses[block.label]] = \
+                    self.code_type_of(block.label)
 
         code: Dict[int, Instruction] = {}
         hints: Dict[int, InstructionHint] = {}
@@ -623,18 +646,14 @@ class _Resolver:
         if entry_label not in self.addresses:
             raise AsmError(f"entry label {entry_label!r} is not defined")
         gpr_colors = {}
-        if self.parsed.blue_pool is not None:
-            from repro.core.colors import Color
-            from repro.core.registers import gpr as gpr_name
-
-            low, high = self.parsed.blue_pool
+        for low, high in self.parsed.blue_pools:
             if not 1 <= low <= high <= self.parsed.num_gprs:
                 raise AsmError(
                     f".bluepool {low} {high} is outside r1..r"
                     f"{self.parsed.num_gprs}"
                 )
             for index in range(low, high + 1):
-                gpr_colors[gpr_name(index)] = Color.BLUE
+                gpr_colors[gpr(index)] = Color.BLUE
         return Program(
             code=code,
             label_types=label_types,

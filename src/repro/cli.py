@@ -42,7 +42,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.asm import format_program, parse_program
+from repro.asm import emit_tal, parse_program
 from repro.compiler import compile_source
 from repro.core import Machine, Outcome, RegZap
 from repro.core.errors import ReproError
@@ -108,13 +108,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
         program.check()
         print("type check: OK")
     if args.listing:
-        print(format_program(program, preconditions=args.preconditions))
+        print(emit_tal(program), end="")
     if args.emit_tal:
-        from repro.asm import emit_tal
-
         with open(args.emit_tal, "w") as handle:
             handle.write(emit_tal(program))
-        print(f"wrote {args.emit_tal} (re-parseable, typed assembly)")
+        print(f"wrote {args.emit_tal} (re-parseable .tal)")
     return 0
 
 
@@ -369,11 +367,7 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: --listen {error}", file=sys.stderr)
         return 2
-    try:
-        worker.run_listen(host, port, once=args.once, authkey=authkey)
-    except ValueError as error:
-        print(f"error: --listen {error}", file=sys.stderr)
-        return 2
+    worker.run_listen(host, port, once=args.once, authkey=authkey)
     return 0
 
 
@@ -517,9 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("--mode", choices=("ft", "baseline", "swift"),
                              default="ft")
     compile_cmd.add_argument("--listing", action="store_true",
-                             help="print the generated code")
-    compile_cmd.add_argument("--preconditions", action="store_true",
-                             help="include block preconditions in the listing")
+                             help="print the build as .tal, each "
+                                  "instruction commented with its address")
     compile_cmd.add_argument("--emit-tal", metavar="FILE",
                              help="write the build as re-parseable .tal")
     compile_cmd.set_defaults(handler=cmd_compile)
@@ -668,9 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
     shard_worker.add_argument("--authkey-file", metavar="PATH",
                               help="file holding the shared fleet auth key "
                                    "(default: the TALFT_SHARD_AUTHKEY "
-                                   "environment variable); required to "
-                                   "--listen on a non-loopback address, "
-                                   "since jobs carry pickled programs")
+                                   "environment variable); with a key, only "
+                                   "coordinators that hold it may send "
+                                   "jobs, and a tampered handshake is "
+                                   "refused")
     shard_worker.set_defaults(handler=cmd_shard_worker)
 
     serve = commands.add_parser(

@@ -53,10 +53,11 @@ def unframe(line: str) -> Optional[object]:
 def read_frames(path: str) -> Tuple[List[object], int]:
     """Every valid payload of the log at ``path``, in file order, and the
     number of non-blank lines dropped as corrupt.  A missing file reads
-    as empty."""
+    as empty.  Bytes that are not UTF-8 (bit rot in an ASCII log) decode
+    to replacement characters, so their line fails its checksum alone."""
     if not os.path.exists(path):
         return [], 0
-    with open(path) as handle:
+    with open(path, errors="replace") as handle:
         lines = handle.readlines()
     payloads: List[object] = []
     corrupt = 0

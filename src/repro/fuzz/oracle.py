@@ -36,6 +36,7 @@ from repro.core.machine import Machine, Outcome, Trace
 from repro.exec.vector import vector_available
 from repro.injection.campaign import CampaignConfig, run_campaign
 from repro.injection.chaos import report_fingerprint
+from repro.injection.prune import drop_memo
 from repro.types.errors import TypeCheckError
 
 
@@ -113,7 +114,13 @@ def _campaign_matrix(
     require_tolerant: bool,
 ) -> Optional[OracleVerdict]:
     """Run the backend x prune matrix; fill ``verdict``; return a failed
-    verdict on divergence, ``None`` when the matrix agrees."""
+    verdict on divergence, ``None`` when the matrix agrees.
+
+    Memo identity leaves out backend and prune, so each cell starts from
+    a cold outcome memo: otherwise every pruned cell after the first
+    would replay the first one's executed outcomes instead of running
+    its own backend.
+    """
     baseline_key = None
     baseline_fp = None
     baseline_buckets = None
@@ -128,6 +135,7 @@ def _campaign_matrix(
                 backend=backend,
                 prune=prune,
             )
+            drop_memo(program, campaign_config)
             report = run_campaign(program, campaign_config)
             key = f"{build}/{backend}/{'prune' if prune else 'noprune'}"
             digest = _fingerprint_digest(report)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import random
 from array import array
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field, fields, replace as _dc_replace
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
@@ -204,6 +204,42 @@ class CampaignConfig:
                 f"prune_audit must be between 0.0 and 1.0 "
                 f"(got {self.prune_audit})")
         require_backend(self.backend)
+
+    def to_dict(self) -> Dict[str, object]:
+        """Every field by name, the OOB policy as its value: the JSON
+        form of a config (shard jobs carry it) and what
+        :func:`repro.injection.journal.config_digest` hashes."""
+        data = {name: getattr(self, name) for name in CONFIG_FIELDS}
+        data["oob_policy"] = self.oob_policy.value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "CampaignConfig":
+        """The inverse of :meth:`to_dict`.  Missing fields keep their
+        defaults; unknown keys and out-of-range values raise
+        ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a campaign config must be a JSON object")
+        unknown = set(data).difference(CONFIG_FIELDS)
+        if unknown:
+            raise ValueError("unknown campaign config fields: "
+                             + ", ".join(sorted(unknown)))
+        kwargs = dict(data)
+        if "oob_policy" in kwargs:
+            kwargs["oob_policy"] = OobPolicy(kwargs["oob_policy"])
+        return cls(**kwargs)
+
+
+#: Every :class:`CampaignConfig` field name, in declaration order.
+CONFIG_FIELDS = tuple(spec.name for spec in fields(CampaignConfig))
+
+#: :class:`CampaignConfig` fields that only choose how the engine runs,
+#: never what it reports; campaign identity
+#: (:func:`repro.injection.journal.config_digest`) leaves them out.
+ENGINE_ONLY_FIELDS = frozenset({
+    "jobs", "backend", "checkpoint_interval", "keep_records", "prune",
+    "prune_audit",
+})
 
 
 @dataclass

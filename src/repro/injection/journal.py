@@ -25,15 +25,16 @@ redoing finished work.  The design follows write-ahead-log discipline:
   sentinel ``"="`` and are re-expanded against the reference at decode
   time, keeping journal lines (and their CRC/encode cost) small.
 * **Identity header.**  The first line carries a digest of the program
-  (code memory plus the typing surfaces the value strategies consult) and
-  a digest of the outcome-relevant :class:`CampaignConfig` fields.  A
+  (its whole boot image plus the typing surfaces the value strategies
+  consult) and a digest of the :class:`CampaignConfig` codec output.  A
   journal written for a different program or config is *rejected*
   (:class:`JournalMismatch`) rather than silently blended into the wrong
-  campaign.  Fields that cannot change outcomes (``jobs``, ``backend``,
-  ``checkpoint_interval``, ``keep_records``, ``prune``, ``prune_audit``)
-  are excluded, so a journal written by ``--jobs 8 --backend step``
-  resumes under ``--jobs 1 --backend compiled`` -- and a pruned journal
-  resumes under ``--no-prune`` -- and vice versa.
+  campaign.  Fields that cannot change outcomes
+  (:data:`~repro.injection.campaign.ENGINE_ONLY_FIELDS`: ``jobs``,
+  ``backend``, ``checkpoint_interval``, ``keep_records``, ``prune``,
+  ``prune_audit``) are excluded, so a journal written by ``--jobs 8
+  --backend step`` resumes under ``--jobs 1 --backend compiled`` -- and a
+  pruned journal resumes under ``--no-prune`` -- and vice versa.
 
 Because per-step outcomes are deterministic given ``(seed, step_index)``
 (see :mod:`repro.injection.campaign`), a report reconstructed from
@@ -44,18 +45,21 @@ to an uninterrupted run -- the property the chaos harness
 
 from __future__ import annotations
 
-import glob
 import os
 import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, TextIO, Tuple
 
+from repro.core.colors import Color
 from repro.core.errors import ReproError
 from repro.core.faults import Fault, QueueZapAddress, QueueZapValue, RegZap
 from repro.core.framing import frame, read_frames, rewrite
 from repro.injection.campaign import (
+    CONFIG_FIELDS,
+    ENGINE_ONLY_FIELDS,
     CampaignConfig,
     FaultResult,
     StepOutcome,
@@ -63,7 +67,7 @@ from repro.injection.campaign import (
 from repro.program import Program
 
 _MAGIC = "talft-campaign-journal"
-_VERSION = 1
+_VERSION = 2
 
 #: Group-commit window: appends are flushed immediately but ``fsync`` runs
 #: at most this often (plus on close), bounding both the durability gap
@@ -94,11 +98,13 @@ _PROGRAM_DIGESTS: Dict[int, str] = {}
 def program_digest(program: Program) -> str:
     """A content digest of everything injection outcomes depend on.
 
-    Code memory drives execution; the label-type and data-segment
-    *addresses* feed :func:`repro.injection.values.representative_values`
-    (code/data replacement targets).  Instructions are frozen dataclasses
-    with deterministic reprs, so hashing the sorted item reprs is stable
-    across processes and interpreter runs.
+    The boot image drives execution: code memory, initial data memory,
+    entry, register count, the registers that boot blue and the first
+    observable address.  The label-type and data-segment *addresses*
+    feed :func:`repro.injection.values.representative_values`
+    (code/data replacement targets).  Instructions are frozen
+    dataclasses with deterministic reprs, so hashing the sorted item
+    reprs is stable across processes and interpreter runs.
     """
     import hashlib
 
@@ -108,8 +114,14 @@ def program_digest(program: Program) -> str:
         return cached
     payload = repr((
         sorted(program.code.items(), key=lambda item: item[0]),
-        sorted(program.data_psi.items()),
-        sorted(program.label_types.keys()),
+        sorted(program.initial_memory.items()),
+        program.entry,
+        program.num_gprs,
+        sorted(name for name, color in program.gpr_colors.items()
+               if color is Color.BLUE),
+        program.observable_min,
+        sorted(program.data_psi),
+        sorted(program.label_types),
     ))
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
     _PROGRAM_DIGESTS[key] = digest
@@ -117,11 +129,21 @@ def program_digest(program: Program) -> str:
     return digest
 
 
-def config_digest(config: CampaignConfig) -> str:
-    """A digest of the :class:`CampaignConfig` fields that affect outcomes.
+#: ``config_digest`` memo, keyed by the identity fields' values and
+#: their types (``3`` and ``3.0`` seed different campaigns): the pruner
+#: looks its memo table up by digest at every injection step, and
+#: rendering the codec output costs several times a tuple lookup.
+_CONFIG_DIGESTS: Dict[tuple, str] = {}
+_identity_values = attrgetter(*(name for name in CONFIG_FIELDS
+                                if name not in ENGINE_ONLY_FIELDS))
 
-    Excluded on purpose: ``jobs`` (partitioning never changes results),
-    ``backend`` (the compiled backend is observationally identical),
+
+def config_digest(config: CampaignConfig) -> str:
+    """A digest of the :class:`CampaignConfig` codec output
+    (:meth:`CampaignConfig.to_dict`) minus
+    :data:`~repro.injection.campaign.ENGINE_ONLY_FIELDS`, the fields
+    that cannot change outcomes: ``jobs`` (partitioning never changes
+    results), ``backend`` (every backend is observationally identical),
     ``checkpoint_interval`` (replayed states equal eager snapshots),
     ``keep_records`` (records are rebuilt at merge time from journaled
     outcomes) and ``prune``/``prune_audit`` (pruning replicates exact
@@ -130,19 +152,17 @@ def config_digest(config: CampaignConfig) -> str:
     """
     import hashlib
 
-    payload = repr((
-        config.step_slack,
-        config.max_steps,
-        config.step_stride,
-        config.max_injection_steps,
-        config.oob_policy.value,
-        config.seed,
-        config.skip_ineffective,
-        config.max_values_per_site,
-        config.max_sites_per_step,
-        config.error_port,
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    values = _identity_values(config)
+    key = (values, tuple(map(type, values)))
+    digest = _CONFIG_DIGESTS.get(key)
+    if digest is None:
+        payload = repr([item for item in config.to_dict().items()
+                        if item[0] not in ENGINE_ONLY_FIELDS])
+        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        if len(_CONFIG_DIGESTS) >= 64:
+            _CONFIG_DIGESTS.clear()
+        _CONFIG_DIGESTS[key] = digest
+    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +420,8 @@ def resume_journal(
     too.  Rewriting through a temp file + atomic rename keeps the journal
     crash-safe even if this resume is itself interrupted.  A missing file
     resumes as a fresh journal.
-
-    Older releases journaled sharded campaigns as one file per shard,
-    ``PATH.shard-III-of-NNN``.  Their steps are read too (identity
-    verified like the main file) and folded into the rewrite, so a
-    campaign interrupted under that layout resumes without re-running
-    them; nothing writes the layout any more.
     """
     load = load_journal(path, prog_digest, conf_digest)
-    for legacy in sorted(glob.glob(glob.escape(path) + ".shard-*-of-*")):
-        shard = load_journal(legacy, prog_digest, conf_digest)
-        load.corrupt_lines += shard.corrupt_lines
-        for step_index, raw_outcomes in shard.steps.items():
-            load.steps.setdefault(step_index, raw_outcomes)
     # Raw payloads rewrite verbatim; "=" sentinels stay symbolic.
     rewrite(path, [_header_payload(prog_digest, conf_digest)] + [
         {"step": step_index, "out": load.steps[step_index]}

@@ -317,6 +317,12 @@ def memo_for(program, config) -> OutcomeMemo:
     return memo
 
 
+def drop_memo(program, config) -> None:
+    """Forget this identity's memo table: the next pruned campaign of
+    the same program and config executes its representatives again."""
+    _MEMO_TABLES.pop(_identity(program, config), None)
+
+
 def _fault_key(step_index: int, fault: Fault) -> Optional[tuple]:
     if isinstance(fault, RegZap):
         return (step_index, "R", fault.reg, fault.new_value)

@@ -44,6 +44,7 @@ import time
 from collections import deque
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.asm import emit_tal
 from repro.core.errors import ReproError
 from repro.core.pool import chunk
 from repro.injection.campaign import (
@@ -70,7 +71,6 @@ from repro.service.protocol import (
     coordinator_mac,
     macs_equal,
     make_nonce,
-    pack_pickle,
     worker_mac,
 )
 
@@ -162,7 +162,7 @@ def _connect(workers: Sequence[Tuple[str, int]], fleet: List[_Worker],
     """Dial every worker into ``fleet`` and handshake each connection.
 
     Handshakes run synchronously (no reader thread exists yet) before
-    any pickled job payload flows: read the hello, and with a fleet key
+    any job flows: read the hello, and with a fleet key
     exchange the HMAC challenge response.  A worker that fails is closed
     and dropped from scheduling -- the survivors (or the serial
     fallback) still complete the campaign.  An unreachable address is
@@ -347,8 +347,10 @@ def _fleet_steps(
 
     try:
         _connect(workers, fleet, authkey)
-        prog_digest = program_digest(program)
-        conf_digest = config_digest(config)
+        job = {"type": "job", "program": emit_tal(program),
+               "config": config.to_dict(),
+               "program_digest": program_digest(program),
+               "config_digest": config_digest(config)}
         for worker in fleet:
             if not worker.alive:
                 continue
@@ -356,14 +358,7 @@ def _fleet_steps(
             if chaos is not None and chaos.kill_shard_worker == worker.index:
                 die_after = chaos.kill_shard_after_steps
             try:
-                worker.conn.send({
-                    "type": "job",
-                    "program": pack_pickle(program),
-                    "config": pack_pickle(config),
-                    "program_digest": prog_digest,
-                    "config_digest": conf_digest,
-                    "die_after_steps": die_after,
-                })
+                worker.conn.send(dict(job, die_after_steps=die_after))
             except OSError:
                 worker.alive = False
                 worker.conn.close()

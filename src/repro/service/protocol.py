@@ -12,30 +12,28 @@ Message flow (worker side initiates nothing; it answers):
 * worker -> coordinator: ``hello`` (host label, pid, auth nonce) on
   connect;
 * with a fleet key: coordinator -> worker ``auth`` (HMAC challenge
-  response), worker -> coordinator ``auth-ok`` -- **before** any pickled
-  payload is sent or accepted (see *Fleet authentication* below);
-* coordinator -> worker: ``job`` (base64-pickled program + config,
+  response), worker -> coordinator ``auth-ok`` -- before any job is
+  sent or accepted (see *Fleet authentication* below);
+* coordinator -> worker: ``job`` (the program as ``.tal`` text, the
+  config as :meth:`~repro.injection.campaign.CampaignConfig.to_dict`,
   identity digests, chaos directives), then any number of ``shard``
   assignments, then ``shutdown``;
 * worker -> coordinator: a ``step`` per completed injection step, a
   ``shard-done`` per finished assignment, and a final ``bye`` carrying
   the worker's metrics registry for host-labelled merging.
 
-Program/config travel as ``base64(pickle)`` inside the JSON envelope --
-:class:`~repro.program.Program` already pickles across the supervised
-pool (hash-consed statics re-intern on load), and the digests in the
-``job`` message let the worker verify it unpickled the campaign the
-coordinator planned.
+Nothing on the wire is executable: the worker parses the program with
+:func:`repro.asm.parse_program` and the config with
+:meth:`~repro.injection.campaign.CampaignConfig.from_dict`, and checks
+both identity digests before it runs anything.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import hmac
 import json
 import os
-import pickle
 import secrets
 import socket
 import struct
@@ -54,27 +52,18 @@ class ProtocolError(ReproError):
     """A malformed or oversized frame on a shard worker connection."""
 
 
-def pack_pickle(value: Any) -> str:
-    """``base64(pickle(value))`` -- how programs/configs ride in JSON."""
-    return base64.b64encode(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-
-
-def unpack_pickle(data: str) -> Any:
-    return pickle.loads(base64.b64decode(data.encode("ascii")))
-
-
 # ---------------------------------------------------------------------------
 # Fleet authentication
 # ---------------------------------------------------------------------------
 #
-# The ``job`` message carries a pickled program, so accepting one from an
-# unauthenticated peer is arbitrary code execution.  Both sides therefore
-# prove knowledge of a shared fleet key *before* any pickle payload flows:
-# the worker's ``hello`` carries a nonce, the coordinator answers with
+# With a fleet key, only a peer that knows it may send or run jobs: both
+# sides prove knowledge of the shared key before any job flows.  The
+# worker's ``hello`` carries a nonce, the coordinator answers with
 # ``auth`` (an HMAC over that nonce plus its own nonce), and the worker
-# replies ``auth-ok`` (an HMAC over the coordinator's nonce).  The fleet
-# shares the key via ``--authkey-file`` or the environment variable below.
+# replies ``auth-ok`` (an HMAC over the coordinator's nonce).  The key
+# guards integrity and access, not code execution: jobs carry no
+# executable payload.  The fleet shares the key via ``--authkey-file`` or
+# the environment variable below.
 
 AUTHKEY_ENV = "TALFT_SHARD_AUTHKEY"
 

@@ -76,13 +76,15 @@ from repro.service.scheduler import (
 from repro.service.store import SETTLED_STATUSES, JobStore
 
 #: Campaign-config knobs a job's ``config`` object may set.  An
-#: allow-list, not ``CampaignConfig(**anything)``: the service is an
+#: allow-list, not every :class:`CampaignConfig` field: the service is an
 #: external surface and should name its own contract.
 _CONFIG_KEYS = frozenset({
     "max_injection_steps", "max_sites_per_step", "max_values_per_site",
     "stride", "seed", "step_slack", "keep_records", "backend", "jobs",
     "prune", "prune_audit", "error_port", "max_steps",
 })
+#: The service's names for config fields that it calls differently.
+_CONFIG_ALIASES = {"stride": "step_stride"}
 
 #: Top-level keys a job body may carry.
 _JOB_KEYS = frozenset({
@@ -247,8 +249,9 @@ class CampaignService:
             raise ValueError(
                 f"unknown config keys: {', '.join(sorted(unknown))} "
                 f"(known: {', '.join(sorted(_CONFIG_KEYS))})")
-        try:
-            _build_config(knobs)  # validate now, rebuild at dispatch
+        try:  # validate now, rebuild at dispatch
+            CampaignConfig.from_dict({_CONFIG_ALIASES.get(key, key): value
+                                      for key, value in knobs.items()})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid campaign config: {exc}") from exc
         with self._lock:
@@ -412,7 +415,9 @@ class CampaignService:
             journal_path = self.store.campaign_journal_path(job_id)
         try:
             program = compile_kernel(job["kernel"], job["mode"]).program
-            config = _build_config(job["config"])
+            config = CampaignConfig.from_dict(
+                {_CONFIG_ALIASES.get(key, key): value
+                 for key, value in job["config"].items()})
             # The pool spawns, never forks, from this threaded process
             # (see module docstring).
             report = run_campaign(
@@ -482,13 +487,6 @@ class CampaignService:
         self._scheduler.drain(timeout=timeout, interrupt=False)
         if self.store is not None:
             self.store.close()
-
-
-def _build_config(knobs: Dict[str, Any]) -> CampaignConfig:
-    kwargs = dict(knobs)
-    if "stride" in kwargs:  # the service's name for step_stride
-        kwargs["step_stride"] = kwargs.pop("stride")
-    return CampaignConfig(**kwargs)
 
 
 def _numeric_job_id(job_id: str) -> Tuple[int, str]:

@@ -2,10 +2,12 @@
 
 A worker is one process holding one coordinator connection.  It is
 deliberately stateless across campaigns: everything it needs arrives in
-the ``job`` message (base64-pickled program + config, identity digests),
-and everything it produces leaves as ``step`` messages encoded with the
-campaign journal's own codec (:func:`repro.injection.journal.
-encode_step`).
+the ``job`` message (the program as ``.tal`` text, the config as a JSON
+object, identity digests), and everything it produces leaves as
+``step`` messages encoded with the campaign journal's own codec
+(:func:`repro.injection.journal.encode_step`).  A job whose program or
+config does not parse, or whose digests do not match, closes the
+connection before anything runs.
 
 Determinism contract: a worker executes
 :func:`repro.injection.campaign._run_step` exactly as the serial engine
@@ -35,7 +37,6 @@ from repro.service.protocol import (
     coordinator_mac,
     macs_equal,
     make_nonce,
-    unpack_pickle,
     worker_mac,
 )
 
@@ -44,12 +45,17 @@ class _WorkerState:
     """One loaded campaign: program, config, reference run, fault budget."""
 
     def __init__(self, message: Dict[str, Any]):
+        from repro.asm import parse_program
+        from repro.core.errors import ReproError
         from repro.exec.cache import warm_program
-        from repro.injection.campaign import _reference_run
+        from repro.injection.campaign import CampaignConfig, _reference_run
         from repro.injection.journal import config_digest, program_digest
 
-        self.program = unpack_pickle(message["program"])
-        self.config = unpack_pickle(message["config"])
+        try:
+            self.program = parse_program(message["program"])
+            self.config = CampaignConfig.from_dict(message["config"])
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"unreadable job: {exc}") from exc
         prog_digest = program_digest(self.program)
         conf_digest = config_digest(self.config)
         if prog_digest != message["program_digest"] or \
@@ -74,8 +80,8 @@ def serve_connection(sock: socket.socket,
 
     With an ``authkey``, the coordinator must answer the hello nonce
     with a valid HMAC ``auth`` challenge response *before* the worker
-    accepts (and unpickles) a job -- an unauthenticated peer never gets
-    past the handshake.  Without a key, a coordinator that *demands*
+    accepts a job -- an unauthenticated peer never gets past the
+    handshake.  Without a key, a coordinator that *demands*
     authentication is refused instead (mismatched fleet configuration
     fails loudly rather than silently downgrading).
 
@@ -164,28 +170,13 @@ def serve_connection(sock: socket.socket,
         conn.close()
 
 
-def _is_loopback(host: str) -> bool:
-    return host in ("localhost", "::1") or host.startswith("127.")
-
-
 def run_listen(host: str, port: int, once: bool = False,
                authkey: Optional[bytes] = None) -> None:
     """Accept coordinators on ``host:port``, one connection at a time.
 
-    Refuses to bind a non-loopback interface without an ``authkey``: the
-    job protocol carries pickled programs, so an unauthenticated open
-    port is arbitrary code execution for anyone who can reach it.
-
     Prints the bound address (resolving an ephemeral port 0) so callers
     scripting a fleet can discover where the worker landed.
     """
-    if authkey is None and not _is_loopback(host):
-        raise ValueError(
-            f"refusing to listen on non-loopback address {host!r} without "
-            "a fleet auth key: shard jobs carry pickled programs, so an "
-            "open unauthenticated port means arbitrary code execution; "
-            f"set {AUTHKEY_ENV} or pass --authkey-file (or listen on "
-            "127.0.0.1)")
     family = socket.AF_INET6 if ":" in host else socket.AF_INET
     listener = socket.socket(family, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

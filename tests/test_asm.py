@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asm import format_program, parse_program, tokenize
+from repro.asm import emit_tal, parse_program, tokenize
 from repro.core import (
     ArithRRI,
     AsmError,
@@ -316,17 +316,21 @@ main2:
 
 
 class TestPrinter:
+    """The listing is the emitted ``.tal`` text itself."""
+
     def test_round_trip_listing_mentions_everything(self):
         program = parse_program(LOOP_EXAMPLE)
-        listing = format_program(program, preconditions=True)
+        listing = emit_tal(program)
         assert "loop:" in listing
         assert "done:" in listing
         assert "stG r3, r1" in listing
         assert ".data" in listing
         assert "word 256 = 0" in listing
+        assert listing.count(".pre [") == 3
+        assert emit_tal(parse_program(listing)) == listing
 
     def test_listing_of_sequential_addresses(self):
         program = parse_program(STORE_EXAMPLE)
-        listing = format_program(program)
-        assert "   1: mov r1, G5" in listing
-        assert "   7: halt" in listing
+        lines = emit_tal(program).splitlines()
+        assert "  mov r1, G 5                  ; 1" in lines
+        assert "  halt                         ; 7" in lines

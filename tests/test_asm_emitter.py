@@ -7,9 +7,10 @@ observable behavior; re-parsed FT builds must still type-check.
 import pytest
 
 from repro.asm import emit_tal, parse_program, render_expr
-from repro.core import Outcome, ReproError, run_to_completion
+from repro.core import AsmError, Color, Outcome, ReproError, run_to_completion
+from repro.injection import program_digest
 from repro.statics import BinExpr, EmptyMem, IntConst, Sel, Upd, Var
-from repro.workloads import compile_kernel
+from repro.workloads import KERNELS, compile_kernel
 from tests.helpers import countdown_loop_program, paper_store_program
 
 ROUND_TRIP_KERNELS = ("vpr", "jpeg", "gsm")
@@ -82,6 +83,76 @@ class TestCompiledRoundTrip:
         program = compile_kernel(name, "ft").program
         _text, reparsed = round_trip(program)
         assert reparsed.gpr_colors == program.gpr_colors
+
+
+def _boot_state(program):
+    state = program.boot()
+    return (state.regs, state.code, state.memory, state.queue,
+            state.observable_min)
+
+
+@pytest.mark.parametrize("mode", ["ft", "baseline", "swift"])
+def test_every_kernel_build_round_trips(mode):
+    # Typed and untyped builds alike: same identity, same boot state,
+    # and the emitted text is a fixed point.
+    for name in sorted(KERNELS):
+        program = compile_kernel(name, mode).program
+        text, reparsed = round_trip(program)
+        assert (".pre" in text) == (mode == "ft"), name
+        assert program_digest(reparsed) == program_digest(program), name
+        assert _boot_state(reparsed) == _boot_state(program), name
+        assert emit_tal(reparsed) == text, name
+
+
+class TestUntyped:
+    SOURCE = """
+.gprs 4
+.data
+  word 100 = 7
+.code
+main:
+  mov r1, G 100
+  ld r2, r1
+  mov r3, G @done
+  jmp r3
+done:
+  st r1, r2
+  halt
+"""
+
+    def test_untyped_program_has_no_typing_interface(self):
+        program = parse_program(self.SOURCE)
+        assert program.label_types == {} and program.data_psi == {}
+        assert program.labels_by_name == {"main": 1, "done": 5}
+        assert run_to_completion(program.boot()).outputs == [(100, 7)]
+
+    def test_untyped_program_round_trips(self):
+        program = parse_program(self.SOURCE)
+        text, reparsed = round_trip(program)
+        assert ".pre" not in text
+        assert reparsed.code == program.code
+        assert emit_tal(reparsed) == text
+
+    def test_pre_is_all_or_nothing(self):
+        typed_main = self.SOURCE.replace(
+            "main:\n", "main:\n  .pre [m: mem] { rest: zero } mem m\n")
+        with pytest.raises(AsmError, match="every label"):
+            parse_program(typed_main)
+
+    def test_untyped_data_carries_no_type(self):
+        annotated = self.SOURCE.replace("word 100 = 7",
+                                        "word 100 = @done : code @done")
+        with pytest.raises(AsmError, match="untyped"):
+            parse_program(annotated)
+
+
+def test_split_blue_pool_round_trips():
+    program = parse_program(TestUntyped.SOURCE)
+    program.gpr_colors = {"r1": Color.BLUE, "r3": Color.BLUE,
+                          "r4": Color.BLUE}
+    text, reparsed = round_trip(program)
+    assert ".bluepool 1 1\n.bluepool 3 4\n" in text
+    assert reparsed.gpr_colors == program.gpr_colors
 
 
 class TestEmitterErrors:

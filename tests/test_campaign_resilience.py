@@ -8,10 +8,12 @@ rejected outright when it belongs to a different campaign).
 """
 
 import os
+import random
 import warnings
 
 import pytest
 
+from repro.core.framing import unframe
 from repro.injection import (
     CampaignConfig,
     ChaosSpec,
@@ -197,6 +199,141 @@ class TestJournalRoundTrip:
         reload = load_journal(path, *digests)
         assert reload.corrupt_lines == 0
         assert sorted(reload.steps) == sorted(load.steps)
+
+
+#: Two programs that differ only in an array initializer.
+_INIT_SOURCE = (
+    "array data[4] = {%s}; array out[4]; var i = 0; "
+    "while (i < 4) { if (data[i] > 5) { out[i] = data[i] * 3; } "
+    "else { out[i] = data[i] + 1; } i = i + 1; }")
+
+
+class TestProgramIdentity:
+    """Journal and memo identity cover the whole boot image: programs
+    with the same code and different initial memory are different
+    campaigns."""
+
+    CONFIG = CampaignConfig(max_injection_steps=30, max_sites_per_step=10,
+                            max_values_per_site=3, seed=5)
+    #: B's report from a fresh process (811 masked, 89 detected).
+    B_FINGERPRINT = "b5311af466954107"
+
+    def _programs(self):
+        from repro.compiler import compile_source
+
+        return (compile_source(_INIT_SOURCE % "3, 5, 7, 9").program,
+                compile_source(_INIT_SOURCE % "9, 2, 8, 1").program)
+
+    def test_initial_memory_changes_the_digest(self):
+        program_a, program_b = self._programs()
+        assert program_a.code == program_b.code
+        assert program_digest(program_a) != program_digest(program_b)
+
+    def test_journal_of_other_initial_memory_rejected(self, tmp_path):
+        program_a, program_b = self._programs()
+        path = str(tmp_path / "a.journal")
+        run_campaign(program_a, self.CONFIG, journal_path=path)
+        with pytest.raises(JournalMismatch, match="different program"):
+            run_campaign(program_b, self.CONFIG, journal_path=path,
+                         resume=True)
+
+    def test_memo_of_other_initial_memory_not_replayed(self):
+        from repro.injection import prune
+        from repro.injection.chaos import fingerprint_digest
+        from repro.observe import MetricsRegistry, set_registry
+
+        program_a, program_b = self._programs()
+        for program in (program_a, program_b):
+            prune.drop_memo(program, self.CONFIG)
+        run_campaign(program_a, self.CONFIG)
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            report = run_campaign(program_b, self.CONFIG)
+        finally:
+            set_registry(previous)
+        assert registry.counter("prune_memo_hits_total").value == 0
+        assert (report.masked, report.detected) == (811, 89)
+        assert fingerprint_digest(report) == self.B_FINGERPRINT
+
+    def test_version_1_journal_refused_with_version_message(self, tmp_path):
+        from repro.core.framing import frame
+
+        program = paper_store_program()
+        config = _config()
+        path = str(tmp_path / "old.journal")
+        with open(path, "w") as handle:
+            handle.write(frame({
+                "magic": "talft-campaign-journal", "version": 1,
+                "program": program_digest(program),
+                "config": config_digest(config)}))
+        with pytest.raises(JournalMismatch, match="version 1, expected 2"):
+            run_campaign(program, config, journal_path=path, resume=True)
+
+
+class TestArbitraryCutPoints:
+    """Resume from a finished journal cut or corrupted at seeded byte
+    offsets: the report always matches the uninterrupted run, and only
+    the steps whose lines were damaged recompute."""
+
+    TRIALS = 16
+
+    def _finished(self, tmp_path):
+        program = countdown_loop_program(3)
+        config = _config(max_injection_steps=12)
+        path = str(tmp_path / "c.journal")
+        report = run_campaign(program, config, journal_path=path)
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        # Each line's step (None for the header) and the byte span of its
+        # content, newline excluded.
+        spans, start = [], 0
+        for line in pristine.splitlines(keepends=True):
+            payload = unframe(line.decode())
+            spans.append((payload.get("step"), start,
+                          start + len(line.rstrip(b"\n"))))
+            start += len(line)
+        return program, config, path, report, pristine, spans
+
+    def _resume_and_check(self, program, config, path, report, damaged,
+                          lost):
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # corrupt-line warnings
+            resumed = run_campaign(program, config, journal_path=path,
+                                   resume=True)
+        assert report_fingerprint(resumed) == report_fingerprint(report)
+        assert resumed.latency_buckets == report.latency_buckets
+        assert resumed.resilience.journaled_steps == len(lost)
+        assert resumed.resilience.resumed_steps == \
+            report.resilience.journaled_steps - len(lost)
+
+    def test_truncated_at_seeded_offsets(self, tmp_path):
+        program, config, path, report, pristine, spans = \
+            self._finished(tmp_path)
+        rng = random.Random(20261019)
+        for offset in rng.sample(range(len(pristine)), self.TRIALS):
+            torn = {step for step, _, end in spans if end > offset}
+            lost = {step for step, _, _ in spans} - {None} \
+                if None in torn else torn
+            self._resume_and_check(program, config, path, report,
+                                   pristine[:offset], lost)
+
+    def test_byte_flipped_at_seeded_offsets(self, tmp_path):
+        program, config, path, report, pristine, spans = \
+            self._finished(tmp_path)
+        rng = random.Random(20261020)
+        for offset in rng.sample(range(len(pristine)), self.TRIALS):
+            damaged = bytearray(pristine)
+            damaged[offset] ^= rng.randrange(1, 256)
+            # A flipped newline joins its two lines; both fail.
+            hit = {step for step, start, end in spans
+                   if start <= offset <= end}
+            lost = {step for step, _, _ in spans} - {None} \
+                if None in hit else hit
+            self._resume_and_check(program, config, path, report,
+                                   bytes(damaged), lost)
 
 
 class TestSupervisedPool:

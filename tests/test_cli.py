@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+from repro.asm import parse_program
 from repro.cli import main
+from repro.compiler import compile_source
+from repro.core import run_to_completion
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples",
                         "programs")
@@ -82,9 +85,35 @@ class TestCompile:
         assert ".code" in out
 
     def test_listing_with_preconditions(self, capsys):
-        assert main(["compile", DOT_MWL, "--listing",
-                     "--preconditions"]) == 0
-        assert ".pre" in capsys.readouterr().out
+        # The FT listing is typed .tal: every label carries its .pre,
+        # and the listing parses back to the build.
+        assert main(["compile", DOT_MWL, "--listing"]) == 0
+        out = capsys.readouterr().out
+        listing = out[out.index("; emitted by"):]
+        assert ".pre" in listing
+        with open(DOT_MWL) as handle:
+            build = compile_source(handle.read()).program
+        assert parse_program(listing).code == build.code
+
+    @pytest.mark.parametrize("mode", ["baseline", "swift"])
+    def test_untyped_emit_tal_runs(self, mode, tmp_path, capsys):
+        # Untyped builds round-trip through .tal too: no .pre anywhere,
+        # and 'talft run' halts with the build's own outputs.
+        path = str(tmp_path / f"{mode}.tal")
+        assert main(["compile", DOT_MWL, "--mode", mode,
+                     "--emit-tal", path]) == 0
+        with open(path) as handle:
+            assert ".pre" not in handle.read()
+        capsys.readouterr()
+        assert main(["run", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("outcome: halted")
+        with open(DOT_MWL) as handle:
+            build = compile_source(handle.read(), mode=mode).program
+        outputs = run_to_completion(build.boot()).outputs
+        assert outputs
+        for address, value in outputs:
+            assert f"output: M[{address}] <- {value}" in out
 
 
 class TestTimeAndCampaign:
@@ -173,15 +202,6 @@ class TestCampaignValidation:
                      "--workers", "127.0.0.1:7070",
                      "--authkey-file", str(keyfile)]) == 2
         assert "empty" in capsys.readouterr().err
-
-    def test_shard_worker_public_listen_without_key_exit_2(
-            self, capsys, monkeypatch):
-        from repro.service.protocol import AUTHKEY_ENV
-
-        monkeypatch.delenv(AUTHKEY_ENV, raising=False)
-        assert main(["shard-worker", "--listen", "0.0.0.0:0"]) == 2
-        err = capsys.readouterr().err
-        assert "non-loopback" in err and AUTHKEY_ENV in err
 
     @pytest.mark.parametrize("value", ["-1", "65536", "http"])
     def test_bad_serve_port_exit_2(self, value, capsys):

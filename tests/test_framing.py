@@ -1,9 +1,11 @@
 """The CRC-framed line format shared by the campaign journal, the job
 journal and the prune memo sidecar (:mod:`repro.core.framing`).
 
-Files written by earlier releases must keep loading, so one literal line
-per format is pinned byte for byte, written through each log's own
-writer.
+One literal line per format is pinned byte for byte, written through
+each log's own writer: a change to a pinned line is a format change.
+The campaign journal is at version 2 since its program digest covers
+the whole boot image; version-1 journals are refused with a version
+message rather than resumed under a digest that meant something else.
 """
 
 import os
@@ -17,9 +19,9 @@ from repro.service.store import JobStore
 from repro.workloads import compile_kernel
 
 CAMPAIGN_HEADER = (
-    '{"crc":"c36c970c","d":{"config":"fedcba9876543210",'
+    '{"crc":"e841c4cf","d":{"config":"fedcba9876543210",'
     '"magic":"talft-campaign-journal","program":"0123456789abcdef",'
-    '"version":1}}\n')
+    '"version":2}}\n')
 CAMPAIGN_STEP = (
     '{"crc":"fe7509f5","d":{"out":[[["R","r1",7],"masked","=",2]],'
     '"step":3}}\n')

@@ -114,6 +114,22 @@ class TestOracle:
             # Backend x prune x build matrix all collapsed to fingerprints.
             assert len(verdict.fingerprints) >= 4
 
+    def test_pruned_cells_execute_with_a_cold_memo(self):
+        # Memo identity ignores backend and prune; a warm memo would let
+        # the compiled and vector pruned cells replay the step cell.
+        from repro.observe import MetricsRegistry, set_registry
+
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            for index in range(3):
+                verdict = check_program(generate_program(3, index), ORACLE)
+                assert verdict.ok, (verdict.stage, verdict.detail)
+        finally:
+            set_registry(previous)
+        assert registry.counter("prune_executed_total").value > 0
+        assert registry.counter("prune_memo_hits_total").value == 0
+
     def test_flags_parse_failure(self):
         bad = FuzzProgram(name="bad", kind="mwl", source="var = ;\n")
         verdict = check_program(bad, ORACLE)

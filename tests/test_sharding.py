@@ -15,9 +15,11 @@ Three layers, one contract:
   journal per campaign.
 """
 
+import base64
 import glob
 import json
 import os
+import pickle
 import random
 import re
 import socket
@@ -30,6 +32,7 @@ import urllib.request
 
 import pytest
 
+from repro.asm import emit_tal
 from repro.core.pool import chunk
 from repro.injection import CampaignConfig, ResilienceConfig, run_campaign
 from repro.injection.campaign import (
@@ -41,8 +44,6 @@ from repro.injection.campaign import (
 )
 from repro.injection.chaos import ChaosSpec, report_fingerprint
 from repro.injection.journal import (
-    CampaignJournal,
-    JournalMismatch,
     config_digest,
     load_journal,
     program_digest,
@@ -54,11 +55,10 @@ from repro.service.protocol import (
     ProtocolError,
     coordinator_mac,
     make_nonce,
-    pack_pickle,
     parse_address,
     worker_mac,
 )
-from repro.service.worker import run_listen, serve_connection
+from repro.service.worker import serve_connection
 from repro.workloads import compile_kernel
 
 CONFIG = CampaignConfig(max_injection_steps=8, max_sites_per_step=6,
@@ -419,19 +419,28 @@ class TestShardedResilience:
 
 
 # ---------------------------------------------------------------------------
-# Fleet authentication: no pickle flows past a failed handshake
+# Fleet authentication, and a wire that carries no executable payload
 # ---------------------------------------------------------------------------
 
 
 class _EvilPayload:
     """Pickles to a payload whose *unpickling* creates a marker dir --
-    proof that a worker unpickled an unauthenticated job."""
+    proof that a worker unpickled a job."""
 
     def __init__(self, marker):
         self._marker = str(marker)
 
     def __reduce__(self):
         return (os.mkdir, (self._marker,))
+
+
+def _pickled_job(marker):
+    """A ``job`` whose program and config are base64 pickles of an
+    :class:`_EvilPayload`: what the wire carried before it spoke .tal."""
+    payload = base64.b64encode(pickle.dumps(_EvilPayload(marker))).decode()
+    return {"type": "job", "program": payload, "config": payload,
+            "program_digest": "x", "config_digest": "x",
+            "die_after_steps": None}
 
 
 class TestFleetAuth:
@@ -465,14 +474,34 @@ class TestFleetAuth:
         marker = tmp_path / "pwned"
         conn, thread = self._worker_thread(b"fleet-secret")
         assert conn.recv()["type"] == "hello"
-        conn.send({"type": "job",
-                   "program": pack_pickle(_EvilPayload(marker)),
-                   "config": pack_pickle(_EvilPayload(marker)),
-                   "program_digest": "x", "config_digest": "x",
-                   "die_after_steps": None})
+        conn.send(_pickled_job(marker))
         assert conn.recv() is None  # worker refused and closed
         thread.join(timeout=10)
         assert not marker.exists()
+        conn.close()
+
+    def test_keyless_worker_never_unpickles_job(self, tmp_path):
+        # Past the handshake too, a pickle is text that does not parse.
+        marker = tmp_path / "pwned"
+        conn, thread = self._worker_thread(None)
+        assert conn.recv()["type"] == "hello"
+        conn.send(_pickled_job(marker))
+        assert conn.recv() is None  # unreadable job: worker closed
+        thread.join(timeout=10)
+        assert not marker.exists()
+        conn.close()
+
+    def test_job_must_match_its_digests(self):
+        program = compile_kernel("adpcm", "baseline").program
+        conn, thread = self._worker_thread(None)
+        assert conn.recv()["type"] == "hello"
+        conn.send({"type": "job", "program": emit_tal(program),
+                   "config": CONFIG.to_dict(),
+                   "program_digest": program_digest(program),
+                   "config_digest": "0000000000000000",
+                   "die_after_steps": None})
+        assert conn.recv() is None
+        thread.join(timeout=10)
         conn.close()
 
     def test_keyed_worker_rejects_wrong_key(self):
@@ -495,18 +524,20 @@ class TestFleetAuth:
         thread.join(timeout=10)
         conn.close()
 
-    def test_listen_refuses_public_bind_without_key(self):
-        with pytest.raises(ValueError, match="non-loopback"):
-            run_listen("0.0.0.0", 0)
-
     def test_listen_on_loopback_needs_no_key(self):
-        # Regression guard for the loopback classifier itself.
-        from repro.service.worker import _is_loopback
-
-        assert _is_loopback("127.0.0.1") and _is_loopback("localhost")
-        assert _is_loopback("::1")
-        assert not _is_loopback("0.0.0.0") and not _is_loopback("")
-        assert not _is_loopback("10.0.0.2")
+        # A keyless worker serves a whole campaign; an untyped baseline
+        # build (.tal without .pre) crosses the wire and reports the same.
+        program = compile_kernel("adpcm", "baseline").program
+        base = run_campaign(program, CONFIG)
+        procs, addresses = _start_tcp_workers(1)
+        try:
+            sharded = run_campaign_sharded(program, CONFIG, shards=2,
+                                           workers=addresses)
+        finally:
+            _stop(procs)
+        assert report_fingerprint(sharded) == report_fingerprint(base)
+        assert sharded.latency_buckets == base.latency_buckets
+        assert sharded.resilience.fallback_chunks == 0
 
     def test_tcp_fleet_with_shared_key_parity(self):
         program = _program()
@@ -595,27 +626,8 @@ class TestChaosKillShardWorker:
 
 
 # ---------------------------------------------------------------------------
-# Journals: one per campaign, interrupt, resume, older shard journals
+# Journals: one per campaign, interrupt, resume
 # ---------------------------------------------------------------------------
-
-
-def _write_legacy_shard_journals(program, config, journal, shards):
-    """Split a finished campaign's journal into the per-shard layout
-    older releases wrote (``PATH.shard-III-of-NNN``, each a complete
-    journal for one contiguous part of the steps) and remove ``PATH``."""
-    prog_digest = program_digest(program)
-    conf_digest = config_digest(config)
-    load = load_journal(journal, prog_digest, conf_digest)
-    os.remove(journal)
-    parts = chunk(sorted(load.steps), shards)
-    paths = []
-    for index, part in enumerate(parts):
-        path = f"{journal}.shard-{index:03d}-of-{len(parts):03d}"
-        with CampaignJournal.fresh(path, prog_digest, conf_digest) as out:
-            for step in part:
-                out.append_raw(step, load.steps[step])
-        paths.append(path)
-    return paths, parts
 
 
 class TestShardJournals:
@@ -678,41 +690,6 @@ class TestShardJournals:
                                        journal_path=journal, resume=True)
         assert report_fingerprint(resumed) == report_fingerprint(base)
         assert resumed.resilience.resumed_steps == 8
-
-    def test_legacy_shard_journals_feed_plain_resume(self, tmp_path):
-        """A sharded campaign interrupted under the per-shard layout (one
-        shard never written) resumes from the surviving shard journals
-        without re-running their steps, and folds them into the one
-        journal at ``PATH``."""
-        program = _program()
-        base = run_campaign(program, CONFIG)
-        journal = str(tmp_path / "c.journal")
-        run_campaign(program, CONFIG, journal_path=journal)
-        paths, parts = _write_legacy_shard_journals(program, CONFIG,
-                                                    journal, 3)
-        os.remove(paths[1])
-        survivors = len(parts[0]) + len(parts[2])
-        resumed = run_campaign(program, CONFIG, journal_path=journal,
-                               resume=True)
-        assert report_fingerprint(resumed) == report_fingerprint(base)
-        assert resumed.resilience.resumed_steps == survivors
-        assert resumed.resilience.journaled_steps == 8 - survivors
-        load = load_journal(journal, program_digest(program),
-                            config_digest(CONFIG))
-        assert sorted(load.steps) == sorted(base_step for part in parts
-                                            for base_step in part)
-
-    def test_legacy_shard_journal_of_another_campaign_is_rejected(
-            self, tmp_path):
-        program = _program()
-        journal = str(tmp_path / "c.journal")
-        other = CampaignConfig(max_injection_steps=8, max_sites_per_step=6,
-                               max_values_per_site=2, seed=999)
-        run_campaign(program, other, journal_path=journal)
-        _write_legacy_shard_journals(program, other, journal, 2)
-        with pytest.raises(JournalMismatch, match="different campaign"):
-            run_campaign_sharded(program, CONFIG, shards=2,
-                                 journal_path=journal, resume=True)
 
     def test_tcp_fleet_writes_one_journal(self, tmp_path):
         program = _program()
