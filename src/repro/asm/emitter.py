@@ -22,21 +22,7 @@ from typing import Dict, List
 
 from repro.core.colors import Color
 from repro.core.errors import ReproError
-from repro.core.instructions import (
-    ArithRRI,
-    ArithRRR,
-    Bz,
-    Halt,
-    Instruction,
-    Jmp,
-    Load,
-    Mov,
-    PlainBz,
-    PlainJmp,
-    PlainLoad,
-    PlainStore,
-    Store,
-)
+from repro.core.instructions import ArithRRI, Bz, Instruction, Jmp, Mov
 from repro.core.registers import DEST, PC_B, PC_G, gpr_index
 from repro.program import Program
 from repro.statics.expressions import (
@@ -147,51 +133,28 @@ class _Emitter:
 
     # -- instructions ----------------------------------------------------------
 
-    def render_immediate(self, imm) -> str:
-        return f"{imm.color} {imm.value}"
-
     def render_instruction(self, address: int,
                            instruction: Instruction) -> str:
+        # ``str`` is the assembly syntax, except that it glues an
+        # immediate's color to its value (``G5``).
         hint = self.program.hints.get(address)
-        suffix = ""
-        if hint is not None and hint.subst is not None:
+        if isinstance(instruction, Mov):
+            note = "" if hint is None or hint.mov_basic is None else " : int"
+            imm = instruction.imm
+            return f"mov {instruction.rd}, {imm.color} {imm.value}{note}"
+        if isinstance(instruction, ArithRRI):
+            imm = instruction.imm
+            return (f"{instruction.op} {instruction.rd}, {instruction.rs}, "
+                    f"{imm.color} {imm.value}")
+        text = str(instruction)
+        if isinstance(instruction, (Jmp, Bz)) and hint is not None \
+                and hint.subst is not None:
             parts = ", ".join(
                 f"{name} = {render_expr(expr)}"
                 for name, expr in sorted(hint.subst.items())
             )
-            suffix = f" with [{parts}]"
-        if isinstance(instruction, Mov):
-            note = ""
-            if hint is not None and hint.mov_basic is not None:
-                note = " : int"
-            return (f"mov {instruction.rd}, "
-                    f"{self.render_immediate(instruction.imm)}{note}")
-        if isinstance(instruction, ArithRRR):
-            return (f"{instruction.op} {instruction.rd}, {instruction.rs}, "
-                    f"{instruction.rt}")
-        if isinstance(instruction, ArithRRI):
-            return (f"{instruction.op} {instruction.rd}, {instruction.rs}, "
-                    f"{self.render_immediate(instruction.imm)}")
-        if isinstance(instruction, Load):
-            return f"ld{instruction.color} {instruction.rd}, {instruction.rs}"
-        if isinstance(instruction, Store):
-            return f"st{instruction.color} {instruction.rd}, {instruction.rs}"
-        if isinstance(instruction, Jmp):
-            return f"jmp{instruction.color} {instruction.rd}{suffix}"
-        if isinstance(instruction, Bz):
-            return (f"bz{instruction.color} {instruction.rz}, "
-                    f"{instruction.rd}{suffix}")
-        if isinstance(instruction, Halt):
-            return "halt"
-        if isinstance(instruction, PlainLoad):
-            return f"ld {instruction.rd}, {instruction.rs}"
-        if isinstance(instruction, PlainStore):
-            return f"st {instruction.rd}, {instruction.rs}"
-        if isinstance(instruction, PlainJmp):
-            return f"jmp {instruction.rd}"
-        if isinstance(instruction, PlainBz):
-            return f"bz {instruction.rz}, {instruction.rd}"
-        raise ReproError(f"cannot render instruction {instruction!r}")
+            text += f" with [{parts}]"
+        return text
 
     # -- whole program -----------------------------------------------------
 

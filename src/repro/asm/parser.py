@@ -71,14 +71,7 @@ from repro.core.instructions import (
     PlainStore,
     Store,
 )
-from repro.core.registers import (
-    DEST,
-    PC_B,
-    PC_G,
-    gpr,
-    gpr_range,
-    is_register,
-)
+from repro.core.registers import DEST, PC_B, PC_G, gpr, gpr_range, is_register
 from repro.asm.lexer import Token, TokenStream, tokenize
 from repro.program import Program
 from repro.statics.expressions import (
@@ -356,7 +349,7 @@ class _Parser:
             return ColoredValue(color, int(token.text))
         if token.kind == "PUNCT" and token.text == "@":
             name = self.stream.expect("IDENT").text
-            return _pending_label_value(color, name)
+            return _PendingImmediate(color, name)  # type: ignore[return-value]
         raise self._error(
             f"expected an immediate after color, found {token.text!r}", token
         )
@@ -571,14 +564,10 @@ class _LabelAddr(Var):
     """
 
 
-def _pending_label_value(color: Color, name: str) -> ColoredValue:
-    # Encoded as a ColoredValue with a placeholder; the assembler resolves
-    # it once label addresses are known.
-    return _PendingImmediate(color, name)  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class _PendingImmediate:
+    """An ``@label`` immediate; resolved once label addresses are known."""
+
     color: Color
     label: str
 

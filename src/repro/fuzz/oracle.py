@@ -114,13 +114,8 @@ def _campaign_matrix(
     require_tolerant: bool,
 ) -> Optional[OracleVerdict]:
     """Run the backend x prune matrix; fill ``verdict``; return a failed
-    verdict on divergence, ``None`` when the matrix agrees.
-
-    Memo identity leaves out backend and prune, so each cell starts from
-    a cold outcome memo: otherwise every pruned cell after the first
-    would replay the first one's executed outcomes instead of running
-    its own backend.
-    """
+    verdict on divergence, ``None`` when the matrix agrees.  Each cell
+    starts from a cold outcome memo, which is shared across backends."""
     baseline_key = None
     baseline_fp = None
     baseline_buckets = None

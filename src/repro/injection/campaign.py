@@ -206,36 +206,35 @@ class CampaignConfig:
         require_backend(self.backend)
 
     def to_dict(self) -> Dict[str, object]:
-        """Every field by name, the OOB policy as its value: the JSON
-        form of a config (shard jobs carry it) and what
-        :func:`repro.injection.journal.config_digest` hashes."""
+        """Every field, the OOB policy as its value: the JSON form shard
+        jobs carry and :func:`repro.injection.journal.config_digest`
+        hashes."""
         data = {name: getattr(self, name) for name in CONFIG_FIELDS}
         data["oob_policy"] = self.oob_policy.value
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignConfig":
-        """The inverse of :meth:`to_dict`.  Missing fields keep their
-        defaults; unknown keys and out-of-range values raise
-        ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError("a campaign config must be a JSON object")
+        """The inverse of :meth:`to_dict`: missing fields keep their
+        defaults, unknown ones raise ``ValueError``."""
         unknown = set(data).difference(CONFIG_FIELDS)
         if unknown:
             raise ValueError("unknown campaign config fields: "
                              + ", ".join(sorted(unknown)))
-        kwargs = dict(data)
-        if "oob_policy" in kwargs:
-            kwargs["oob_policy"] = OobPolicy(kwargs["oob_policy"])
-        return cls(**kwargs)
+        if "oob_policy" in data:
+            data = dict(data, oob_policy=OobPolicy(data["oob_policy"]))
+        return cls(**data)
 
 
-#: Every :class:`CampaignConfig` field name, in declaration order.
 CONFIG_FIELDS = tuple(spec.name for spec in fields(CampaignConfig))
 
-#: :class:`CampaignConfig` fields that only choose how the engine runs,
-#: never what it reports; campaign identity
-#: (:func:`repro.injection.journal.config_digest`) leaves them out.
+#: Fields that choose how the engine runs, never what it reports, so
+#: campaign identity (:func:`repro.injection.journal.config_digest`)
+#: leaves them out: partitioning (``jobs``) never changes results, every
+#: ``backend`` is observationally identical, replayed states equal eager
+#: snapshots (``checkpoint_interval``), records are rebuilt from
+#: journaled outcomes (``keep_records``), and pruning replicates exact
+#: outcomes while its audit only verifies (``prune``, ``prune_audit``).
 ENGINE_ONLY_FIELDS = frozenset({
     "jobs", "backend", "checkpoint_interval", "keep_records", "prune",
     "prune_audit",

@@ -26,9 +26,8 @@ Scenarios (CLI: ``talft chaos``):
   process mid-job, restart it with the same state directory, and assert
   the resumed job's published fingerprint and latency buckets equal an
   uninterrupted in-process run -- and that queued and settled jobs
-  survived the restart.  The service is SIGSTOPped first and killed
-  only if its job journal still shows the victim unsettled, so a victim
-  that finishes between two polls is never mistaken for a mid-job kill;
+  survived the restart (the service is frozen first, and killed only if
+  its job journal shows the victim unsettled);
 * ``kill-remote-shard-worker`` -- SIGKILL a real TCP ``talft
   shard-worker`` subprocess mid-shard; the coordinator must reissue its
   tail over the wire;
@@ -369,8 +368,7 @@ _SERVICE_KNOBS = ("max_injection_steps", "max_sites_per_step",
 #: Injection steps for the job the service is SIGKILLed under: big
 #: enough that the kill usually lands mid-campaign.
 _VICTIM_STEPS = 24
-#: Victims submitted before ``kill-service`` gives up: one that settles
-#: before the SIGKILL can land is replaced by a fresh one.
+#: Victims ``kill-service`` submits before it gives up.
 _VICTIM_ATTEMPTS = 3
 
 
@@ -384,12 +382,10 @@ def _scenario_kill_service(program, config, jobs, workdir,
     import signal as _signal
     import warnings
 
-    from repro.core.framing import read_frames
     from repro.service.store import JobStore, _replay
     from repro.workloads import compile_kernel
 
     state_dir = os.path.join(workdir, "state")
-    store = JobStore(state_dir)
     base_knobs = {knob: getattr(config, knob) for knob in _SERVICE_KNOBS}
     small = dict(base_knobs, max_injection_steps=3)
     banner = re.compile(r"service on http://([0-9.]+):(\d+)")
@@ -423,21 +419,16 @@ def _scenario_kill_service(program, config, jobs, workdir,
                            f"within {timeout:.0f}s (last: {job})")
 
     settled_states = ("done", "error", "cancelled")
-    killed_at = None  # the victim's journaled steps when the kill landed
+    killed = False
 
     def _mid_flight(job):
         return job["status"] in settled_states or \
             (job["status"] == "running" and job["progress"]["done"] > 0)
 
-    def _journaled_status(job_id):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a torn tail is expected
-            return _replay(store.path).jobs[job_id]["status"]
-
     # Round one: a settled job, a long victim, a queued job -- then die.
-    # The service is frozen before the kill, and killed only if its job
-    # journal still shows the victim unsettled; a victim that settled
-    # first is replaced by a fresh one (a new seed, so no memo replays).
+    # The service is frozen before the kill and killed only if its job
+    # journal shows the victim unsettled; a victim that settled first is
+    # replaced by a fresh one (a new seed, so no memo replays).
     proc, base = _start()
     try:
         settled_id = _submit(base, small)
@@ -449,23 +440,22 @@ def _scenario_kill_service(program, config, jobs, workdir,
                 victim["seed"] = config.seed + attempt
             victim_id = _submit(base, victim)
             queued_id = _submit(base, small)
-            victim_job = _poll(base, victim_id, _mid_flight)
-            if victim_job["status"] != "running":
+            if _poll(base, victim_id, _mid_flight)["status"] != "running":
                 continue
             proc.send_signal(_signal.SIGSTOP)
-            if _journaled_status(victim_id) in settled_states:
-                proc.send_signal(_signal.SIGCONT)
-                continue
-            proc.send_signal(_signal.SIGKILL)
-            proc.wait(timeout=30)
-            payloads, _ = read_frames(store.campaign_journal_path(victim_id))
-            killed_at = len(payloads) - 1  # less the header line
-            break
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a torn tail is expected
+                journaled = _replay(os.path.join(
+                    state_dir, JobStore.JOURNAL_NAME)).jobs
+            if journaled[victim_id]["status"] not in settled_states:
+                killed = True
+                break
+            proc.send_signal(_signal.SIGCONT)
     finally:
         if proc.poll() is None:
-            proc.kill()
+            proc.kill()  # SIGKILL: the mid-job crash, or cleanup
         proc.wait(timeout=30)
-    if killed_at is None:
+    if not killed:
         return ScenarioResult(
             "kill-service", False, None,
             f"{_VICTIM_ATTEMPTS} victim jobs settled before the SIGKILL "
@@ -511,10 +501,9 @@ def _scenario_kill_service(program, config, jobs, workdir,
                           "restart intact")
     resumed_steps = ((resumed.get("result") or {}).get("resilience") or
                      {}).get("resumed_steps", 0)
-    detail = (f"SIGKILLed with {killed_at}/{_VICTIM_STEPS} steps "
-              f"journaled (victim {attempt + 1} of {_VICTIM_ATTEMPTS}), "
-              f"restart replayed {resumed_steps} journaled step(s); "
-              "queued and settled jobs survived")
+    detail = (f"SIGKILLed victim {attempt + 1} of {_VICTIM_ATTEMPTS} "
+              f"mid-job; restart replayed {resumed_steps}/{_VICTIM_STEPS} "
+              "journaled step(s); queued and settled jobs survived")
     if complaints:
         detail = "MISMATCH: " + "; ".join(complaints)
     return ScenarioResult("kill-service", not complaints, None, detail)

@@ -29,12 +29,10 @@ redoing finished work.  The design follows write-ahead-log discipline:
   consult) and a digest of the :class:`CampaignConfig` codec output.  A
   journal written for a different program or config is *rejected*
   (:class:`JournalMismatch`) rather than silently blended into the wrong
-  campaign.  Fields that cannot change outcomes
-  (:data:`~repro.injection.campaign.ENGINE_ONLY_FIELDS`: ``jobs``,
-  ``backend``, ``checkpoint_interval``, ``keep_records``, ``prune``,
-  ``prune_audit``) are excluded, so a journal written by ``--jobs 8
-  --backend step`` resumes under ``--jobs 1 --backend compiled`` -- and a
-  pruned journal resumes under ``--no-prune`` -- and vice versa.
+  campaign.  The engine-only fields are excluded, so a journal written
+  by ``--jobs 8 --backend step`` resumes under ``--jobs 1 --backend
+  compiled`` -- and a pruned journal resumes under ``--no-prune`` -- and
+  vice versa.
 
 Because per-step outcomes are deterministic given ``(seed, step_index)``
 (see :mod:`repro.injection.campaign`), a report reconstructed from
@@ -129,27 +127,17 @@ def program_digest(program: Program) -> str:
     return digest
 
 
-#: ``config_digest`` memo, keyed by the identity fields' values and
-#: their types (``3`` and ``3.0`` seed different campaigns): the pruner
-#: looks its memo table up by digest at every injection step, and
-#: rendering the codec output costs several times a tuple lookup.
+#: ``config_digest`` memo, keyed by the identity values and their types
+#: (seeds ``3`` and ``3.0`` differ): the pruner asks at every step, and a
+#: tuple lookup costs a fraction of rendering the codec output.
 _CONFIG_DIGESTS: Dict[tuple, str] = {}
 _identity_values = attrgetter(*(name for name in CONFIG_FIELDS
                                 if name not in ENGINE_ONLY_FIELDS))
 
 
 def config_digest(config: CampaignConfig) -> str:
-    """A digest of the :class:`CampaignConfig` codec output
-    (:meth:`CampaignConfig.to_dict`) minus
-    :data:`~repro.injection.campaign.ENGINE_ONLY_FIELDS`, the fields
-    that cannot change outcomes: ``jobs`` (partitioning never changes
-    results), ``backend`` (every backend is observationally identical),
-    ``checkpoint_interval`` (replayed states equal eager snapshots),
-    ``keep_records`` (records are rebuilt at merge time from journaled
-    outcomes) and ``prune``/``prune_audit`` (pruning replicates exact
-    outcomes and the audit only verifies, so pruned and unpruned runs
-    share journal identity and resume each other freely).
-    """
+    """A digest of :meth:`CampaignConfig.to_dict` minus
+    :data:`~repro.injection.campaign.ENGINE_ONLY_FIELDS`."""
     import hashlib
 
     values = _identity_values(config)

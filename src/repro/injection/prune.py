@@ -318,8 +318,7 @@ def memo_for(program, config) -> OutcomeMemo:
 
 
 def drop_memo(program, config) -> None:
-    """Forget this identity's memo table: the next pruned campaign of
-    the same program and config executes its representatives again."""
+    """Forget this identity's memo: the next campaign starts cold."""
     _MEMO_TABLES.pop(_identity(program, config), None)
 
 
