@@ -58,12 +58,12 @@ class _WorkerState:
             raise ProtocolError(f"unreadable job: {exc}") from exc
         prog_digest = program_digest(self.program)
         conf_digest = config_digest(self.config)
-        if prog_digest != message["program_digest"] or \
-                conf_digest != message["config_digest"]:
+        if prog_digest != message.get("program_digest") or \
+                conf_digest != message.get("config_digest"):
             raise ProtocolError(
                 "job payload does not match its identity digests "
-                f"(program {prog_digest} vs {message['program_digest']}, "
-                f"config {conf_digest} vs {message['config_digest']})")
+                f"(program {prog_digest} vs {message.get('program_digest')}"
+                f", config {conf_digest} vs {message.get('config_digest')})")
         if self.config.backend in ("compiled", "vector"):
             warm_program(self.program.boot().code, self.config.oob_policy)
         self.reference = _reference_run(self.program, self.config)
@@ -131,8 +131,14 @@ def serve_connection(sock: socket.socket,
             elif kind == "shard":
                 if state is None:
                     raise ProtocolError("shard assignment before job")
-                shard_index = message["shard"]
-                for step_index in message["steps"]:
+                shard_index = message.get("shard")
+                steps = message.get("steps")
+                if not isinstance(shard_index, int) or \
+                        not isinstance(steps, list) or \
+                        not all(isinstance(step, int) and 0 <= step <
+                                state.reference.num_steps for step in steps):
+                    raise ProtocolError("malformed shard assignment")
+                for step_index in steps:
                     outcomes = _run_step(state.program, state.config,
                                          state.reference, state.budget,
                                          step_index)

@@ -69,7 +69,8 @@ def _validate(
 ) -> Tuple[Dict[int, BasicType], List[int]]:
     """The whole-program well-formedness checks (run once, in the parent)."""
     if not label_types:
-        raise TypeCheckError("a program needs at least one labeled block")
+        raise TypeCheckError(
+            "the program is untyped: no label carries a precondition")
     for address, code_type in label_types.items():
         if address not in code:
             raise TypeCheckError(f"label at {address} has no instruction")

@@ -25,6 +25,14 @@ class TestCheck:
     def test_check_countdown(self, capsys):
         assert main(["check", COUNTDOWN_TAL]) == 0
 
+    def test_check_untyped_build(self, tmp_path, capsys):
+        path = str(tmp_path / "baseline.tal")
+        assert main(["compile", DOT_MWL, "--mode", "baseline",
+                     "--emit-tal", path]) == 0
+        capsys.readouterr()
+        assert main(["check", path]) == 1
+        assert "untyped" in capsys.readouterr().out
+
     def test_check_ill_typed(self, tmp_path, capsys):
         bad = tmp_path / "bad.tal"
         bad.write_text("""

@@ -524,6 +524,37 @@ class TestFleetAuth:
         thread.join(timeout=10)
         conn.close()
 
+    @pytest.mark.parametrize("shard", [
+        {}, {"shard": 0}, {"shard": 0, "steps": 3},
+        {"shard": 0, "steps": ["x"]}, {"shard": 0, "steps": [10 ** 9]},
+    ])
+    def test_malformed_shard_closes_the_connection(self, shard):
+        # A bad assignment ends this connection; serve_connection returns
+        # normally, so a listening worker process goes on serving.
+        program = compile_kernel("adpcm", "baseline").program
+        left, right = socket.socketpair()
+        errors = []
+
+        def serve():
+            try:
+                serve_connection(right)
+            except Exception as exc:  # noqa: BLE001 - the assertion
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        conn = Connection(left)
+        assert conn.recv()["type"] == "hello"
+        conn.send({"type": "job", "program": emit_tal(program),
+                   "config": CONFIG.to_dict(),
+                   "program_digest": program_digest(program),
+                   "config_digest": config_digest(CONFIG)})
+        conn.send(dict(shard, type="shard"))
+        assert conn.recv() is None
+        thread.join(timeout=10)
+        assert not thread.is_alive() and errors == []
+        conn.close()
+
     def test_listen_on_loopback_needs_no_key(self):
         # A keyless worker serves a whole campaign; an untyped baseline
         # build (.tal without .pre) crosses the wire and reports the same.
