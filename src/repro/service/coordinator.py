@@ -44,7 +44,6 @@ import time
 from collections import deque
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.asm import emit_tal
 from repro.core.errors import ReproError
 from repro.core.pool import chunk
 from repro.injection.campaign import (
@@ -218,6 +217,8 @@ def _fleet_steps(
 ) -> Iterator[Tuple[int, list]]:
     """The remote fleet as a step source: yields ``(step, outcomes)``
     for every step of ``steps``, in arrival order."""
+    from repro.asm import emit_tal  # only fleets need the assembler
+
     rng = random.Random()  # backoff jitter only; results never consult it
     budget = reference.trace.steps + config.step_slack
     registry = get_registry()
