@@ -324,12 +324,15 @@ class TestArbitraryCutPoints:
         program, config, path, report, pristine, spans = \
             self._finished(tmp_path)
         rng = random.Random(20261020)
-        for offset in rng.sample(range(len(pristine)), self.TRIALS):
+        # The seeded offsets, then the newline ending the second step.
+        offsets = rng.sample(range(len(pristine)), self.TRIALS)
+        for offset in offsets + [spans[2][2]]:
             damaged = bytearray(pristine)
             damaged[offset] ^= rng.randrange(1, 256)
-            # A flipped newline joins its two lines; both fail.
+            # A line fails when the byte is in its content or its
+            # newline, or is the newline before it (the two lines join).
             hit = {step for step, start, end in spans
-                   if start <= offset <= end}
+                   if start - 1 <= offset <= end}
             lost = {step for step, _, _ in spans} - {None} \
                 if None in hit else hit
             self._resume_and_check(program, config, path, report,
