@@ -661,10 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     shard_worker.add_argument("--authkey-file", metavar="PATH",
                               help="file holding the shared fleet auth key "
                                    "(default: the TALFT_SHARD_AUTHKEY "
-                                   "environment variable); with a key, only "
-                                   "coordinators that hold it may send "
-                                   "jobs, and a tampered handshake is "
-                                   "refused")
+                                   "environment variable); with a key, "
+                                   "only coordinators that hold it may "
+                                   "send jobs")
     shard_worker.set_defaults(handler=cmd_shard_worker)
 
     serve = commands.add_parser(

@@ -226,6 +226,7 @@ class CampaignConfig:
         return cls(**data)
 
 
+#: Every :class:`CampaignConfig` field name, in declaration order.
 CONFIG_FIELDS = tuple(spec.name for spec in fields(CampaignConfig))
 
 #: Fields that choose how the engine runs, never what it reports, so
