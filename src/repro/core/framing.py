@@ -1,12 +1,12 @@
 """CRC-framed line logs: one on-disk format for every durable log.
 
-The campaign result journal (:mod:`repro.injection.journal`), the
-service's job journal (:mod:`repro.service.store`) and the prune memo
-sidecar (:mod:`repro.injection.prune`) all store one JSON payload per
-line as ``{"crc":"<8 hex digits>","d":<payload>}``.  The CRC-32 covers
-the payload's canonical encoding (sorted keys, no whitespace), so a torn
-tail left by a crash mid-write, or a flipped bit, fails its line alone:
-readers drop and count it instead of failing the whole file.
+The campaign result journal (:mod:`repro.injection.journal`) and the
+service's job journal (:mod:`repro.service.store`) both store one JSON
+payload per line as ``{"crc":"<8 hex digits>","d":<payload>}``.  The
+CRC-32 covers the payload's canonical encoding (sorted keys, no
+whitespace), so a torn tail left by a crash mid-write, or a flipped
+bit, fails its line alone: readers drop and count it instead of failing
+the whole file.
 
 Each log keeps its own header and record semantics; this module owns
 only the framing, the line reader, and the crash-safe whole-file

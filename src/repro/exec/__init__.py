@@ -42,7 +42,6 @@ from repro.exec.cache import (
     exec_cache_stats,
     get_aux,
     get_compiled,
-    warm_program,
 )
 from repro.exec.compiler import (
     CompilationUnsupported,
@@ -66,7 +65,6 @@ __all__ = [
     "require_backend",
     "run_compiled",
     "step_instruction",
-    "warm_program",
 ]
 
 

@@ -78,32 +78,6 @@ def get_compiled(
     return compiled
 
 
-def warm_program(
-    code: Dict[int, Instruction],
-    oob_policy: OobPolicy = OobPolicy.TRAP,
-) -> str:
-    """Ensure ``code`` is compiled into this process's cache, up front.
-
-    Returns ``"hit"`` when the compilation was already cached (the common
-    case for a ``fork``-started worker, which inherits the parent's warm
-    cache), ``"compiled"`` when this call populated it (a ``spawn``-started
-    or restarted worker re-warming after a supervisor pool rebuild), or
-    ``"unsupported"`` when the program cannot be compiled and every run
-    will use the interpreter.  Campaign workers call this from their pool
-    initializer so the first faulty run never pays program compilation
-    inside a supervised chunk deadline.  Fused chains are still planned
-    on their first dispatch, so a worker pays under 1 ms per chain it
-    first dispatches inside its chunk.
-    """
-    key = (code_fingerprint(code), oob_policy)
-    with _lock:
-        already = _cache.get(key) is not None
-    if already:
-        return "hit"
-    return "unsupported" if get_compiled(code, oob_policy) is None \
-        else "compiled"
-
-
 def get_aux(key: Hashable, build: Callable[[], object]) -> object:
     """A derived artifact under ``key``, built once and cached.
 

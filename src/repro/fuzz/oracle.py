@@ -36,7 +36,6 @@ from repro.core.machine import Machine, Outcome, Trace
 from repro.exec.vector import vector_available
 from repro.injection.campaign import CampaignConfig, run_campaign
 from repro.injection.chaos import report_fingerprint
-from repro.injection.prune import drop_memo
 from repro.types.errors import TypeCheckError
 
 
@@ -114,8 +113,7 @@ def _campaign_matrix(
     require_tolerant: bool,
 ) -> Optional[OracleVerdict]:
     """Run the backend x prune matrix; fill ``verdict``; return a failed
-    verdict on divergence, ``None`` when the matrix agrees.  Each cell
-    starts from a cold outcome memo, which is shared across backends."""
+    verdict on divergence, ``None`` when the matrix agrees."""
     baseline_key = None
     baseline_fp = None
     baseline_buckets = None
@@ -130,7 +128,6 @@ def _campaign_matrix(
                 backend=backend,
                 prune=prune,
             )
-            drop_memo(program, campaign_config)
             report = run_campaign(program, campaign_config)
             key = f"{build}/{backend}/{'prune' if prune else 'noprune'}"
             digest = _fingerprint_digest(report)

@@ -170,8 +170,8 @@ class CampaignConfig:
     #: reports stay bit-identical by construction.  ``False``
     #: (``--no-prune``) executes every variant, each to its end.
     prune: bool = True
-    #: Audit fraction: re-execute this share of all variants (executed,
-    #: replicated and memoized) unpruned, each to its end, and raise
+    #: Audit fraction: re-execute this share of all variants (executed
+    #: and replicated) unpruned, each to its end, and raise
     #: :class:`~repro.injection.prune.PruneAuditError` on any mismatch
     #: (0.0 disables, 1.0 re-runs every variant).  Purely a verification
     #: knob -- audited reports are bit-identical to unaudited ones.
@@ -426,8 +426,9 @@ class ReferenceRun:
         self.interval = interval
         self.oob_policy = oob_policy
         #: The shared compilation of the program, when the campaign runs on
-        #: the compiled backend (never pickled -- each worker process
-        #: rebuilds its reference, compilation included).
+        #: the compiled backend.  Never pickled: forked pool workers
+        #: inherit the driver's reference, compilation included, and every
+        #: other worker process walks its own.
         self.compiled = compiled
         #: What the walk recorded per executed instruction, or ``None``
         #: when the run did not halt or booted mid-instruction.
@@ -1367,14 +1368,14 @@ def _drive(
     :func:`repro.service.coordinator.run_campaign_sharded`.
 
     It owns everything but execution: backend resolution, the reference
-    run, step sampling, the journal and ``.memo`` sidecar, progress,
-    events, metrics and the merge.  Steps come from one of three
-    sources: inline, the supervised pool (``jobs > 1``, or supervision
-    or chaos requested), or ``source`` -- the remote worker fleet, which
-    delivers steps out of order.  Each step is journaled when it
-    arrives and merged in ascending step order through a reorder
-    buffer, so every source yields the same report; a source that ends
-    with steps missing gets no report at all.
+    run, step sampling, the journal, progress, events, metrics and the
+    merge.  Steps come from one of three sources: inline, the supervised
+    pool (``jobs > 1``, or supervision or chaos requested), or
+    ``source`` -- the remote worker fleet, which delivers steps out of
+    order.  Each step is journaled when it arrives and merged in
+    ascending step order through a reorder buffer, so every source
+    yields the same report; a source that ends with steps missing gets
+    no report at all.
     """
     config = config or CampaignConfig()
     if jobs is None:
@@ -1422,14 +1423,6 @@ def _drive(
         else:
             journal = _journal.CampaignJournal.fresh(
                 journal_path, prog_digest, conf_digest)
-    if journal_path is not None and config.prune:
-        # The memo sidecar persists executed outcomes across campaigns;
-        # loading it is pure acceleration (a missing or mismatched file
-        # loads as empty, never an error).
-        from repro.injection import prune as _prune
-
-        _prune.load_memo(journal_path + ".memo", program, config)
-
     remaining = [step for step in steps if step not in done_steps]
     registry = get_registry()
     instruments = _campaign_instruments(registry)
@@ -1511,10 +1504,6 @@ def _drive(
         injection_timer.__exit__(None, None, None)
         if reporter is not None:
             reporter.finish()
-    if journal_path is not None and config.prune:
-        from repro.injection import prune as _prune
-
-        _prune.save_memo(journal_path + ".memo", program, config)
     if stats is not None:
         # Supervision counters (retries, crashes, rebuilds) are recorded
         # live by the supervisor; only the journal-side tallies -- known

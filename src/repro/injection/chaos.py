@@ -428,7 +428,7 @@ def _scenario_kill_service(program, config, jobs, workdir,
     # Round one: a settled job, a long victim, a queued job -- then die.
     # The service is frozen before the kill and killed only if its job
     # journal shows the victim unsettled; a victim that settled first is
-    # replaced by a fresh one (a new seed, so no memo replays).
+    # replaced by a fresh one with the next seed.
     proc, base = _start()
     try:
         settled_id = _submit(base, small)

@@ -48,7 +48,6 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.core.colors import Color
@@ -56,7 +55,6 @@ from repro.core.errors import ReproError
 from repro.core.faults import Fault, QueueZapAddress, QueueZapValue, RegZap
 from repro.core.framing import frame, read_frames, rewrite
 from repro.injection.campaign import (
-    CONFIG_FIELDS,
     ENGINE_ONLY_FIELDS,
     CampaignConfig,
     FaultResult,
@@ -84,12 +82,13 @@ class JournalMismatch(ReproError):
 # ---------------------------------------------------------------------------
 
 
-#: ``program_digest`` memo: hashing a kernel's full code memory costs
-#: milliseconds, and campaign loops digest the same Program object every
-#: run.  Programs are treated as immutable once built, so identity
-#: caching is sound; keyed by ``id()`` (Program is an unhashable
-#: dataclass) with a weakref finalizer evicting dead entries so a
-#: recycled id can never alias a stale digest.
+#: ``program_digest`` memo: hashing a kernel's full boot image costs
+#: 0.4-1.1 ms on the perfbench ``service`` kernels (4-6 ms as a
+#: process's first digest), and the service runs many jobs on the same
+#: cached kernel Program.  Programs are treated as immutable once built,
+#: so identity caching is sound; keyed by ``id()`` (Program is an
+#: unhashable dataclass) with a weakref finalizer evicting dead entries
+#: so a recycled id can never alias a stale digest.
 _PROGRAM_DIGESTS: Dict[int, str] = {}
 
 
@@ -127,30 +126,14 @@ def program_digest(program: Program) -> str:
     return digest
 
 
-#: ``config_digest`` memo, keyed by the identity values and their types
-#: (seeds ``3`` and ``3.0`` differ): the pruner asks at every step, and a
-#: tuple lookup costs a fraction of rendering the codec output.
-_CONFIG_DIGESTS: Dict[tuple, str] = {}
-_identity_values = attrgetter(*(name for name in CONFIG_FIELDS
-                                if name not in ENGINE_ONLY_FIELDS))
-
-
 def config_digest(config: CampaignConfig) -> str:
     """A digest of :meth:`CampaignConfig.to_dict` minus
     :data:`~repro.injection.campaign.ENGINE_ONLY_FIELDS`."""
     import hashlib
 
-    values = _identity_values(config)
-    key = (values, tuple(map(type, values)))
-    digest = _CONFIG_DIGESTS.get(key)
-    if digest is None:
-        payload = repr([item for item in config.to_dict().items()
-                        if item[0] not in ENGINE_ONLY_FIELDS])
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        if len(_CONFIG_DIGESTS) >= 64:
-            _CONFIG_DIGESTS.clear()
-        _CONFIG_DIGESTS[key] = digest
-    return digest
+    payload = repr([item for item in config.to_dict().items()
+                    if item[0] not in ENGINE_ONLY_FIELDS])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,6 @@ variants are provably equivalent *before any lane is stepped*:
   is detected there regardless of the corrupt magnitude -- so all
   corruptions of a value reaching the same check share one
   "detected@step" class, detection-latency bucket included.
-* **Outcome memoization.**  Per (program digest, config digest), a table
-  keyed by (injection step, fault site, canonical replacement value)
-  remembers executed outcomes.  The table is shared with worker pools
-  (exported at pool start, new entries drained back with each chunk's
-  telemetry) and persisted next to the campaign journal
-  (``<journal>.memo``), so resumed or repeated campaigns skip even the
-  representatives.
 
 Only class representatives and unclassifiable faults execute on the
 underlying engine (vector batch, compiled, or the interpreter, exactly
@@ -57,7 +50,6 @@ from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ReproError
-from repro.core.framing import read_frames, rewrite
 from repro.core.faults import (
     Fault,
     QueueZapAddress,
@@ -79,7 +71,6 @@ from repro.injection.campaign import (
     EV_WRITE,
     QE_POP,
     QE_PUSH,
-    FaultResult,
     Recording,
     SettleRules,
     _run_faults,
@@ -251,188 +242,22 @@ def classify_fault(
 
 
 # ---------------------------------------------------------------------------
-# Outcome memo table
+# Names the frozen benchmark still binds
 # ---------------------------------------------------------------------------
 
-_MEMO_MAGIC = "talft-prune-memo"
-_MEMO_VERSION = 1
-
-#: Hard cap per memo table: beyond it new outcomes simply are not
-#: remembered (lookups keep working), bounding worst-case memory.
-MEMO_MAX_ENTRIES = 500_000
+#: Empty, and nothing writes it: ``perfbench/unit.py`` reads it in its
+#: cold-start check.  Kept until the next benchmark change.
+_MEMO_TABLES: Dict = {}
 
 
-class OutcomeMemo:
-    """One campaign identity's memoized outcomes.
-
-    Keys are ``(step_index, site_tag, site, value)``; values are the
-    JSON-portable encoding of ``(result, output tail, steps)`` produced
-    by :func:`_encode_value` -- portable across processes (pool export /
-    drain) and across runs (the ``.memo`` sidecar file).
-    """
-
-    __slots__ = ("table", "pending", "track_new")
-
-    def __init__(self):
-        self.table: Dict[tuple, list] = {}
-        #: Entries recorded since the last drain (worker processes only;
-        #: ``track_new`` stays False in the parent so the list is empty).
-        self.pending: List[Tuple[tuple, list]] = []
-        self.track_new = False
-
-    def lookup(self, key: tuple):
-        return self.table.get(key)
-
-    def record(self, key: tuple, value: list) -> None:
-        if key in self.table or len(self.table) >= MEMO_MAX_ENTRIES:
-            return
-        self.table[key] = value
-        if self.track_new:
-            self.pending.append((key, value))
+def load_memo(*_args) -> None:
+    """Does nothing and nothing calls it: ``perfbench/tracer.py`` wraps
+    it, and :func:`save_memo`, as its ``injection.prune.memo_io`` layer.
+    Kept until the next benchmark change."""
 
 
-#: Memo tables by (program digest, config digest), a small LRU: campaigns
-#: rarely interleave more than a couple of identities per process.
-_MEMO_TABLES: Dict[Tuple[str, str], OutcomeMemo] = {}
-_MEMO_TABLES_MAX = 4
-
-
-def _identity(program, config) -> Tuple[str, str]:
-    from repro.injection.journal import config_digest, program_digest
-
-    return (program_digest(program), config_digest(config))
-
-
-def memo_for(program, config) -> OutcomeMemo:
-    identity = _identity(program, config)
-    memo = _MEMO_TABLES.get(identity)
-    if memo is None:
-        while len(_MEMO_TABLES) >= _MEMO_TABLES_MAX:
-            _MEMO_TABLES.pop(next(iter(_MEMO_TABLES)))
-        memo = OutcomeMemo()
-        _MEMO_TABLES[identity] = memo
-    else:
-        # Refresh LRU position.
-        _MEMO_TABLES[identity] = _MEMO_TABLES.pop(identity)
-    return memo
-
-
-def drop_memo(program, config) -> None:
-    """Forget this identity's memo: the next campaign starts cold."""
-    _MEMO_TABLES.pop(_identity(program, config), None)
-
-
-def _fault_key(step_index: int, fault: Fault) -> Optional[tuple]:
-    if isinstance(fault, RegZap):
-        return (step_index, "R", fault.reg, fault.new_value)
-    if isinstance(fault, QueueZapAddress):
-        return (step_index, "QA", fault.index, fault.new_value)
-    if isinstance(fault, QueueZapValue):
-        return (step_index, "QV", fault.index, fault.new_value)
-    return None
-
-
-def _encode_value(result, outputs, steps, ref_tail) -> list:
-    if outputs == ref_tail:
-        encoded: object = "="
-    else:
-        encoded = [[address, value] for address, value in outputs]
-    return [result.value, encoded, steps]
-
-
-def _decode_value(data, ref_tail):
-    """Decode a memo value, tolerantly: malformed entries (a corrupted
-    sidecar file, a future format) decode to ``None`` and the fault
-    simply runs."""
-    try:
-        result = FaultResult(data[0])
-        encoded = data[1]
-        steps = int(data[2])
-        if encoded == "=":
-            outputs = ref_tail
-        else:
-            outputs = tuple((int(a), int(v)) for a, v in encoded)
-    except (ValueError, TypeError, IndexError, KeyError):
-        return None
-    return (result, outputs, steps)
-
-
-def export_entries(program, config) -> List[Tuple[tuple, list]]:
-    """Snapshot the memo table for shipping to worker pools."""
-    return list(memo_for(program, config).table.items())
-
-
-def absorb_entries(program, config, entries) -> None:
-    """Merge entries from a peer process (pool init or chunk drain)."""
-    if not entries:
-        return
-    memo = memo_for(program, config)
-    record = memo.record
-    for key, value in entries:
-        record(tuple(key), value)
-
-
-def drain_new_entries(program, config) -> List[Tuple[tuple, list]]:
-    """New entries recorded since the last drain (worker telemetry)."""
-    memo = memo_for(program, config)
-    pending = memo.pending
-    memo.pending = []
-    return pending
-
-
-def enable_tracking(program, config) -> None:
-    """Start recording new entries for draining (worker processes)."""
-    memo_for(program, config).track_new = True
-
-
-def save_memo(path: str, program, config) -> None:
-    """Persist the memo table next to the journal (temp file + atomic
-    rename, so a crash mid-save leaves the previous file intact)."""
-    identity = _identity(program, config)
-    memo = _MEMO_TABLES.get(identity)
-    if memo is None or not memo.table:
-        return
-    rewrite(path, [{
-        "magic": _MEMO_MAGIC, "version": _MEMO_VERSION,
-        "program": identity[0], "config": identity[1],
-    }] + [[list(key), value] for key, value in memo.table.items()])
-
-
-def load_memo(path: str, program, config) -> int:
-    """Load a persisted memo table, returning the entry count absorbed.
-
-    The memo is a pure cache: a missing file, a different identity
-    header, or corrupt lines silently load as empty -- never an error
-    (unlike the journal, whose mismatch is a correctness hazard).
-    """
-    try:
-        payloads, _ = read_frames(path)
-    except OSError:
-        return 0
-    if not payloads:
-        return 0
-    identity = _identity(program, config)
-    header_seen = False
-    loaded = 0
-    memo = memo_for(program, config)
-    for payload in payloads:
-        if not header_seen:
-            if not (isinstance(payload, dict)
-                    and payload.get("magic") == _MEMO_MAGIC
-                    and payload.get("version") == _MEMO_VERSION
-                    and payload.get("program") == identity[0]
-                    and payload.get("config") == identity[1]):
-                return 0
-            header_seen = True
-            continue
-        try:
-            key = tuple(payload[0])
-            value = payload[1]
-        except (TypeError, IndexError):
-            continue
-        memo.record(key, value)
-        loaded += 1
-    return loaded
+def save_memo(*_args) -> None:
+    """Does nothing; see :func:`load_memo`."""
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +274,7 @@ def run_step_pruned(
     base: MachineState,
     faults: List[Fault],
 ) -> Optional[List]:
-    """One injection step with equivalence pruning and memoization.
+    """One injection step with equivalence pruning.
 
     Returns the step's outcomes in fault order -- element-for-element
     equal to the unpruned engines' -- or ``None`` when the program
@@ -461,52 +286,24 @@ def run_step_pruned(
         return None
     oob_trap = config.oob_policy is OobPolicy.TRAP
     rules = SettleRules(reference, s, config.error_port)
-    full_tail = rules.full_tail
 
     def predict(cls: tuple):
         if cls[0] == "masked":
             return rules.masked
         return rules.detected(cls[1])
 
-    memo = memo_for(program, config)
     results: List[Optional[tuple]] = [None] * len(faults)
     classes: Dict[tuple, List[int]] = {}
     to_run: List[int] = []  # positions that must execute for real
-    memoized: List[int] = []  # positions filled straight from the memo
-    memo_misses: List[int] = []  # executed positions to record afterwards
     for position, fault in enumerate(faults):
         cls = ("masked",) if not is_effective(base, fault) \
             else classify_fault(analysis, fault, s, oob_trap)
-        if cls is not None:
-            classes.setdefault(cls, []).append(position)
-            continue
-        key = _fault_key(s, fault)
-        hit = _decode_value(memo.lookup(key), full_tail) \
-            if key is not None else None
-        if hit is not None:
-            results[position] = (fault,) + hit
-            memoized.append(position)
-        else:
+        if cls is None:
             to_run.append(position)
-            if key is not None:
-                memo_misses.append(position)
-
-    # One representative per class: from the memo when possible,
-    # otherwise executed for real.
-    rep_of: Dict[tuple, int] = {}
-    for cls, members in classes.items():
-        rep = members[0]
-        rep_of[cls] = rep
-        key = _fault_key(s, faults[rep])
-        hit = _decode_value(memo.lookup(key), full_tail) \
-            if key is not None else None
-        if hit is not None:
-            results[rep] = (faults[rep],) + hit
-            memoized.append(rep)
         else:
-            to_run.append(rep)
-            if key is not None:
-                memo_misses.append(rep)
+            classes.setdefault(cls, []).append(position)
+    # One representative per class executes for real.
+    to_run.extend(members[0] for members in classes.values())
 
     def execute(positions: List[int]) -> None:
         if not positions:
@@ -524,44 +321,27 @@ def run_step_pruned(
     # the representative's *real* outcome confirmed it.  A mismatch means
     # the analysis mis-modeled this program: fall back to executing the
     # whole class (the report stays exact; only the speedup is lost).
-    replicated: List[int] = []
+    replicated = 0
     mismatched: List[int] = []
     mismatches = 0
     for cls, members in classes.items():
-        rep = rep_of[cls]
         prediction = predict(cls)
-        if results[rep][1:] == prediction:
+        if results[members[0]][1:] == prediction:
             for member in members[1:]:
                 results[member] = (faults[member],) + prediction
-                replicated.append(member)
+            replicated += len(members) - 1
         else:
             mismatches += 1
-            mismatched.extend(member for member in members[1:]
-                              if results[member] is None)
-    if mismatched:
-        memo_miss_set = set(memo_misses)
-        for position in mismatched:
-            key = _fault_key(s, faults[position])
-            if key is not None and position not in memo_miss_set:
-                memo_misses.append(position)
-        execute(mismatched)
-
-    # Remember every real execution for future pools/steps/campaigns.
-    for position in memo_misses:
-        key = _fault_key(s, faults[position])
-        outcome = results[position]
-        if key is not None and outcome is not None:
-            memo.record(key, _encode_value(outcome[1], outcome[2],
-                                           outcome[3], full_tail))
+            mismatched.extend(members[1:])
+    execute(mismatched)
 
     # Randomized audit: re-execute a sampled fraction of the variants --
-    # replicated members, memo hits and executed ones alike -- unpruned,
-    # so every sampled run goes to its end instead of stopping where it
-    # rejoins the reference, and hard-fail on any disagreement.  The
-    # audit RNG is derived from (seed, step) like everything else, so
-    # audits are deterministic and identical across jobs/backends -- and
-    # it never touches the campaign RNG, so audited reports stay
-    # bit-identical.
+    # replicated members and executed ones alike -- unpruned, so every
+    # sampled run goes to its end instead of stopping where it rejoins
+    # the reference, and hard-fail on any disagreement.  The audit RNG is
+    # derived from (seed, step) like everything else, so audits are
+    # deterministic and identical across jobs/backends -- and it never
+    # touches the campaign RNG, so audited reports stay bit-identical.
     audit_runs = 0
     if config.prune_audit > 0.0:
         audit_rng = random.Random(f"{config.seed}:prune-audit:{s}")
@@ -587,10 +367,8 @@ def run_step_pruned(
     registry = get_registry()
     registry.counter("prune_steps_total").inc()
     registry.counter("prune_classes_total").inc(len(classes))
-    registry.counter("prune_pruned_variants_total").inc(len(replicated))
-    registry.counter("prune_executed_total").inc(
-        len(faults) - len(replicated) - len(memoized))
-    registry.counter("prune_memo_hits_total").inc(len(memoized))
+    registry.counter("prune_pruned_variants_total").inc(replicated)
+    registry.counter("prune_executed_total").inc(len(faults) - replicated)
     if audit_runs:
         registry.counter("prune_audit_runs_total").inc(audit_runs)
     if mismatches:

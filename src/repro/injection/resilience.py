@@ -24,11 +24,13 @@ retry and re-place work without changing a single bit of the report:
 * every event is counted in a :class:`ResilienceStats` attached to the
   final :class:`~repro.injection.campaign.CampaignReport`.
 
-Workers re-warm their compiled-program cache on (re)start: the pool
-initializer calls :func:`repro.exec.cache.warm_program` before rebuilding
-the reference run, so under ``fork`` the inherited parent cache is hit
-and under ``spawn`` (or after a restart) the program is compiled exactly
-once per fresh process.
+A campaign walks its fault-free reference run once.  A ``fork``-started
+pool -- the initial one and every rebuilt one -- hands the driver's
+:class:`~repro.injection.campaign.ReferenceRun` to the pool initializer,
+so the workers inherit it, compilation included, and it is never
+pickled.  A ``spawn``-started pool (from a threaded caller such as the
+service) walks the reference in the initializer instead: pickling a
+kernel's reference costs more than walking it.
 
 The chaos harness (:mod:`repro.injection.chaos`) drives exactly these
 paths by injecting infrastructure faults into the workers.
@@ -134,31 +136,19 @@ def _sup_init_worker(
     program: "Program",
     config: "CampaignConfig",
     chaos: "Optional[ChaosSpec]",
-    memo_entries=None,
+    reference,
 ) -> None:
-    """Pool initializer: re-warm the exec cache, rebuild the reference.
+    """Pool initializer: set up the worker's campaign context.
 
     Runs once per worker process, including every process of every
-    *rebuilt* pool -- a restarted worker warms its compiled-program cache
-    (inherited for free under ``fork``, recompiled once under ``spawn``)
-    before deriving the checkpointed reference run.
+    *rebuilt* pool.  ``reference`` is the driver's reference run,
+    inherited under ``fork``; ``None`` (under ``spawn``) walks it here.
     """
     global _SUP_CONTEXT
-    from repro.exec.cache import warm_program
     from repro.injection.campaign import _reference_run
 
-    if config.prune:
-        # Seed the worker's prune memo from the parent and track new
-        # entries so chunk telemetry can drain them back.
-        from repro.injection import prune as _prune
-
-        _prune.absorb_entries(program, config, memo_entries)
-        _prune.enable_tracking(program, config)
-    if config.backend in ("compiled", "vector"):
-        # The vector backend also leans on the compilation: its reference
-        # run and its per-lane fallbacks execute compiled.
-        warm_program(program.boot().code, config.oob_policy)
-    reference = _reference_run(program, config)
+    if reference is None:
+        reference = _reference_run(program, config)
     budget = reference.trace.steps + config.step_slack
     _SUP_CONTEXT = (program, config, reference, budget, chaos)
 
@@ -179,13 +169,7 @@ def _sup_run_chunk(
     program, config, reference, budget, chaos = _SUP_CONTEXT
     if chaos is not None:
         chaos.apply_in_worker(chunk_index)
-    pairs, telemetry = _timed_chunk(program, config, reference, budget,
-                                    step_indices)
-    if config.prune:
-        from repro.injection.prune import drain_new_entries
-
-        telemetry["memo_new"] = drain_new_entries(program, config)
-    return pairs, telemetry
+    return _timed_chunk(program, config, reference, budget, step_indices)
 
 
 def _timed_chunk(program, config, reference, budget, step_indices):
@@ -235,8 +219,8 @@ def run_steps_supervised(
     Yields ``(step_index, outcomes)`` in ascending step order, exactly
     like the serial loop, so the caller's merge (and journal) stay
     deterministic.  ``reference`` may pass in the parent's already-built
-    :class:`~repro.injection.campaign.ReferenceRun` so serial fallback
-    does not recompute it.
+    :class:`~repro.injection.campaign.ReferenceRun`; forked workers
+    inherit it and serial fallback reuses it, so neither walks it again.
 
     Supervision never changes results: chunks are pure functions of their
     step indices (per-step RNG), so re-execution after a timeout, crash or
@@ -263,11 +247,6 @@ def run_steps_supervised(
         chunk_seconds.observe(telemetry["seconds"])
         worker_steps.inc(int(telemetry["steps"]))
         worker_injections.inc(int(telemetry["injections"]))
-        memo_new = telemetry.get("memo_new")
-        if memo_new:
-            from repro.injection.prune import absorb_entries
-
-            absorb_entries(program, config, memo_new)
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
     jobs = min(jobs, len(steps))
@@ -298,18 +277,17 @@ def run_steps_supervised(
         done[index] = True
 
     def make_pool() -> ProcessPoolExecutor:
-        memo_entries = None
-        if config.prune:
-            from repro.injection.prune import export_entries
-
-            # Rebuilt pools re-export: entries drained from earlier
-            # chunks ride along to freshly started workers.
-            memo_entries = export_entries(program, config)
+        context = _mp_context()
+        inherited = None
+        if context.get_start_method() == "fork":
+            # Forked workers inherit the initializer's arguments, so the
+            # driver's reference reaches them without a pickle or a walk.
+            inherited, _ = serial_context()
         return ProcessPoolExecutor(
             max_workers=jobs,
-            mp_context=_mp_context(),
+            mp_context=context,
             initializer=_sup_init_worker,
-            initargs=(program, config, chaos, memo_entries),
+            initargs=(program, config, chaos, inherited),
         )
 
     def submit_pending(pool) -> Dict[int, object]:

@@ -131,8 +131,7 @@ def run_campaign_sharded(
     shard-worker --listen`` processes) the coordinator dials out and
     hands the fleet ``shards`` shards to run, steal and reissue.
     ``journal_path`` is the campaign's one journal and ``resume=True``
-    skips every step it (or an older release's per-shard journals next
-    to it) already holds.  All other knobs mirror
+    skips every step it already holds.  All other knobs mirror
     :func:`~repro.injection.campaign.run_campaign`.
 
     ``authkey`` is the shared HMAC key the remote workers were started

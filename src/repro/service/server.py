@@ -47,8 +47,7 @@ io/stdlib locks at any moment, so forking from this process could hand
 a worker child a lock that is never released.  The pool sees more than
 one live thread here and **spawns** its workers instead
 (:func:`repro.core.pool.mp_context`): each starts from a fresh
-interpreter, one extra compile warm-up per worker that a long-running
-service amortizes.
+interpreter and walks the campaign's reference run itself.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ connection before anything runs.
 Determinism contract: a worker executes
 :func:`repro.injection.campaign._run_step` exactly as the serial engine
 would -- per-step RNG seeded by ``(seed, step_index)`` -- so *which*
-worker runs a step never matters.  On every job the worker warms the
-compiled-program cache and rebuilds the checkpointed reference run,
-mirroring the supervised pool's initializer.
+worker runs a step never matters.  On every job the worker walks the
+checkpointed reference run itself (compiling the program through the
+shared cache on the way), as a spawn-started pool worker does.
 
 The entry point is :func:`run_listen`: bind and accept coordinators
 (``talft shard-worker --listen [HOST:]PORT``), serving one connection at
@@ -47,7 +47,6 @@ class _WorkerState:
     def __init__(self, message: Dict[str, Any]):
         from repro.asm import parse_program
         from repro.core.errors import ReproError
-        from repro.exec.cache import warm_program
         from repro.injection.campaign import CampaignConfig, _reference_run
         from repro.injection.journal import config_digest, program_digest
 
@@ -64,8 +63,6 @@ class _WorkerState:
                 "job payload does not match its identity digests "
                 f"(program {prog_digest} vs {message.get('program_digest')}"
                 f", config {conf_digest} vs {message.get('config_digest')})")
-        if self.config.backend in ("compiled", "vector"):
-            warm_program(self.program.boot().code, self.config.oob_policy)
         self.reference = _reference_run(self.program, self.config)
         self.budget = self.reference.trace.steps + self.config.step_slack
         #: Chaos directive: SIGKILL self after sending this many step

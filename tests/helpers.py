@@ -190,3 +190,22 @@ def countdown_loop_program(count: int = 3):
         num_gprs=NUM_GPRS,
         labels_by_name={"main": 1, "loop": LOOP, "done": DONE},
     )
+
+
+def executed_variants(run):
+    """``(result, executed)``: what ``run()`` returns, and how many fault
+    variants its pruned steps executed for real (``prune_executed_total``
+    in a fresh metrics registry around the call).
+
+    Only this process counts: pool workers' counters are not folded
+    back into the parent, so a pooled run reads 0.
+    """
+    from repro.observe import MetricsRegistry, set_registry
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        result = run()
+    finally:
+        set_registry(previous)
+    return result, registry.counter("prune_executed_total").value

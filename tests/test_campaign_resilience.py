@@ -209,9 +209,8 @@ _INIT_SOURCE = (
 
 
 class TestProgramIdentity:
-    """Journal and memo identity cover the whole boot image: programs
-    with the same code and different initial memory are different
-    campaigns."""
+    """Journal identity covers the whole boot image: programs with the
+    same code and different initial memory are different campaigns."""
 
     CONFIG = CampaignConfig(max_injection_steps=30, max_sites_per_step=10,
                             max_values_per_site=3, seed=5)
@@ -238,21 +237,12 @@ class TestProgramIdentity:
                          resume=True)
 
     def test_memo_of_other_initial_memory_not_replayed(self):
-        from repro.injection import prune
+        # B run after A in one process equals B from a fresh process.
         from repro.injection.chaos import fingerprint_digest
-        from repro.observe import MetricsRegistry, set_registry
 
         program_a, program_b = self._programs()
-        for program in (program_a, program_b):
-            prune.drop_memo(program, self.CONFIG)
         run_campaign(program_a, self.CONFIG)
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            report = run_campaign(program_b, self.CONFIG)
-        finally:
-            set_registry(previous)
-        assert registry.counter("prune_memo_hits_total").value == 0
+        report = run_campaign(program_b, self.CONFIG)
         assert (report.masked, report.detected) == (811, 89)
         assert fingerprint_digest(report) == self.B_FINGERPRINT
 
@@ -391,6 +381,73 @@ class TestSupervisedPool:
         )
         assert report_fingerprint(chaotic) == report_fingerprint(serial)
         assert chaotic.resilience.fallback_chunks >= 1
+
+    def test_forked_workers_inherit_the_reference_run(self, tmp_path):
+        """A fork-started pool never walks the reference again, not even
+        when it is rebuilt after a killed worker: with every walk after
+        the driver's own patched to raise (and the reference
+        unpicklable), the pooled report still matches the serial one and
+        no chunk falls back.  Runs in a fresh interpreter, so no thread
+        left over from another test turns the pool into a spawn-started
+        one."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent("""
+            import sys
+
+            from repro.core.pool import mp_context
+            from repro.injection import campaign
+            from repro.injection import (
+                CampaignConfig, ChaosSpec, ResilienceConfig,
+            )
+            from repro.injection.chaos import fingerprint_digest
+            from repro.workloads import compile_kernel
+
+            program = compile_kernel("adpcm", "ft").program
+            config = CampaignConfig(max_injection_steps=8, seed=7,
+                                    max_sites_per_step=4,
+                                    max_values_per_site=1)
+            serial = campaign.run_campaign(program, config)
+            walk = campaign._reference_run
+            walks = []
+
+            def driver_walk_only(*args):
+                walks.append(args)
+                if len(walks) > 1:
+                    raise RuntimeError("a second reference walk")
+                return walk(*args)
+
+            def refuse(*args):
+                raise RuntimeError("the reference run was pickled")
+
+            campaign._reference_run = driver_walk_only
+            campaign.ReferenceRun.__reduce_ex__ = refuse
+            pooled = campaign.run_campaign(
+                program, config, jobs=2,
+                resilience=ResilienceConfig(max_retries=1,
+                                            backoff_base=0.01,
+                                            serial_fallback=False),
+                chaos=ChaosSpec(kill_chunk=1, marker_dir=sys.argv[1]))
+            stats = pooled.resilience
+            print(mp_context().get_start_method(), len(walks),
+                  stats.pool_rebuilds, stats.fallback_chunks,
+                  fingerprint_digest(serial), fingerprint_digest(pooled))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             timeout=240)
+        assert out.returncode == 0, out.stderr[-2000:]
+        method, walks, rebuilds, fallbacks, serial, pooled = \
+            out.stdout.split()
+        assert (method, walks, fallbacks) == ("fork", "1", "0")
+        assert int(rebuilds) >= 1
+        assert pooled == serial
 
     def test_journal_plus_pool_resume(self, tmp_path):
         # Journaled parallel run, truncated, resumed in parallel: the

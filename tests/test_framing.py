@@ -1,5 +1,5 @@
-"""The CRC-framed line format shared by the campaign journal, the job
-journal and the prune memo sidecar (:mod:`repro.core.framing`).
+"""The CRC-framed line format shared by the campaign journal and the
+job journal (:mod:`repro.core.framing`).
 
 One literal line per format is pinned byte for byte, written through
 each log's own writer: a change to a pinned line is a format change.
@@ -12,11 +12,9 @@ import os
 
 from repro.core.faults import RegZap
 from repro.core.framing import frame, read_frames, rewrite, unframe
-from repro.injection import prune
-from repro.injection.campaign import CampaignConfig, FaultResult
+from repro.injection.campaign import FaultResult
 from repro.injection.journal import CampaignJournal
 from repro.service.store import JobStore
-from repro.workloads import compile_kernel
 
 CAMPAIGN_HEADER = (
     '{"crc":"e841c4cf","d":{"config":"fedcba9876543210",'
@@ -30,10 +28,6 @@ JOB_HEADER = (
 JOB_SNAPSHOT = (
     '{"crc":"bd12d685","d":{"event":"job","job":{"id":"job-1",'
     '"status":"queued"}}}\n')
-MEMO_HEADER = (
-    '{"crc":"eb71d82c","d":{"config":"c","magic":"talft-prune-memo",'
-    '"program":"p","version":1}}\n')
-MEMO_ENTRY = '{"crc":"3b60056d","d":[[3,"R","r1",7],["masked","=",2]]}\n'
 
 
 def _lines(path):
@@ -62,18 +56,6 @@ class TestPinnedFrames:
         # The compacting rewrite on open keeps the same bytes.
         JobStore(str(tmp_path)).open()
         assert _lines(store.path) == [JOB_HEADER, JOB_SNAPSHOT]
-
-    def test_memo_sidecar_lines(self, tmp_path, monkeypatch):
-        program = compile_kernel("adpcm", "ft").program
-        config = CampaignConfig()
-        monkeypatch.setattr(prune, "_identity",
-                            lambda program, config: ("p", "c"))
-        monkeypatch.setattr(prune, "_MEMO_TABLES", {})
-        prune.memo_for(program, config).record((3, "R", "r1", 7),
-                                               ["masked", "=", 2])
-        path = str(tmp_path / "c.journal.memo")
-        prune.save_memo(path, program, config)
-        assert _lines(path) == [MEMO_HEADER, MEMO_ENTRY]
 
 
 class TestFraming:

@@ -114,21 +114,33 @@ class TestOracle:
             # Backend x prune x build matrix all collapsed to fingerprints.
             assert len(verdict.fingerprints) >= 4
 
-    def test_pruned_cells_execute_with_a_cold_memo(self):
-        # Memo identity ignores backend and prune; a warm memo would let
-        # the compiled and vector pruned cells replay the step cell.
-        from repro.observe import MetricsRegistry, set_registry
+    def test_pruned_cells_execute_with_a_cold_memo(self, monkeypatch):
+        # Every pruned cell of a build executes as many variants as the
+        # first one: no cell replays the outcomes of the cells before it.
+        from repro.fuzz import oracle
+        from repro.injection.journal import program_digest
+        from tests.helpers import executed_variants
 
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            for index in range(3):
-                verdict = check_program(generate_program(3, index), ORACLE)
-                assert verdict.ok, (verdict.stage, verdict.detail)
-        finally:
-            set_registry(previous)
-        assert registry.counter("prune_executed_total").value > 0
-        assert registry.counter("prune_memo_hits_total").value == 0
+        executed = {}
+        real = oracle.run_campaign
+
+        def counting(program, config):
+            report, count = executed_variants(
+                lambda: real(program, config))
+            if config.prune:
+                executed.setdefault(program_digest(program), []).append(
+                    count)
+            return report
+
+        monkeypatch.setattr(oracle, "run_campaign", counting)
+        for index in range(3):
+            verdict = check_program(generate_program(3, index), ORACLE)
+            assert verdict.ok, (verdict.stage, verdict.detail)
+        assert executed
+        for counts in executed.values():
+            assert len(counts) > 1
+            assert counts == [counts[0]] * len(counts), counts
+        assert sum(counts[0] for counts in executed.values()) > 0
 
     def test_flags_parse_failure(self):
         bad = FuzzProgram(name="bad", kind="mwl", source="var = ;\n")

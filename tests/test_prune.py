@@ -16,9 +16,8 @@ pin that contract three ways:
   across journal resume in both directions (pruned journal resumed
   unpruned and vice versa);
 * the safety nets -- the randomized audit re-executes variants
-  unpruned and hard-fails on a planted wrong outcome or a truncated
-  live-register view, the memo sidecar round-trips and silently ignores
-  foreign files, and the PR-5 metrics counters account for every
+  unpruned and hard-fails on a forced wrong class or a truncated
+  live-register view, and the metrics counters account for every
   variant.
 """
 
@@ -32,26 +31,25 @@ from repro.core.semantics import OobPolicy
 from repro.injection import CampaignConfig, config_digest, run_campaign
 from repro.injection.campaign import (
     FaultResult,
+    SettleRules,
     _reference_run,
     _run_faults,
 )
 from repro.injection.chaos import report_fingerprint
 from repro.injection.prune import (
     PruneAuditError,
-    _MEMO_TABLES,
-    _fault_key,
-    _identity,
     analysis_for,
     classify_fault,
-    load_memo,
-    memo_for,
     run_step_pruned,
-    save_memo,
 )
 from repro.injection.values import representative_values, with_value
 from repro.observe import MetricsRegistry, get_registry, set_registry
 from repro.workloads import ALL_KERNELS, compile_kernel
-from tests.helpers import countdown_loop_program, paper_store_program
+from tests.helpers import (
+    countdown_loop_program,
+    executed_variants,
+    paper_store_program,
+)
 
 #: Tiny-but-representative campaign (mirrors tests/test_vector_backend).
 _TINY = dict(max_injection_steps=3, max_sites_per_step=4,
@@ -64,11 +62,15 @@ def _campaign(backend="compiled", *, prune, **overrides):
     return CampaignConfig(backend=backend, prune=prune, **params)
 
 
-def _fresh_memo(program, config):
-    """Drop any memo table cached for this campaign identity, so a test
-    observes cold-start behavior regardless of what ran before it."""
-    _MEMO_TABLES.pop(_identity(program, config), None)
-    return memo_for(program, config)
+def _effective_faults(program, base):
+    """Every effective single fault at ``base``, in enumeration order."""
+    faults = []
+    for site in fault_sites(base):
+        for value in representative_values(base, site, program, None):
+            fault = with_value(site, value)
+            if is_effective(base, fault):
+                faults.append(fault)
+    return faults
 
 
 class TestClassificationGroundTruth:
@@ -137,11 +139,17 @@ class TestKernelParity:
         program = compile_kernel(kernel, "ft").program
         plain = run_campaign(program, _campaign("step", prune=False))
         anchor = report_fingerprint(plain)
+        executed = []
         for backend in ("step", "compiled", "vector"):
-            pruned = run_campaign(program,
-                                  _campaign(backend, prune=True))
+            pruned, count = executed_variants(lambda: run_campaign(
+                program, _campaign(backend, prune=True)))
             assert report_fingerprint(pruned) == anchor, (kernel, backend)
             assert pruned.latency_buckets == plain.latency_buckets
+            executed.append(count)
+        # Each backend executes its own representatives; none replays
+        # the outcomes of the run before it.
+        assert executed[0] > 0, kernel
+        assert executed == [executed[0]] * 3, (kernel, executed)
 
     def test_exhaustive_sweep_parity_including_latency_buckets(self):
         # No site cap: the regime pruning is built for.
@@ -194,83 +202,10 @@ class TestJournalInterop:
         assert report_fingerprint(resumed) == report_fingerprint(full)
 
 
-class TestMemo:
-    def test_memo_hits_skip_re_execution(self):
-        program = countdown_loop_program()
-        config = _campaign(prune=True)
-        _fresh_memo(program, config)
-        registry = MetricsRegistry()
-        set_registry(registry)
-        try:
-            run_campaign(program, config)
-            cold = {(c["name"], tuple(sorted(c["labels"].items()))):
-                    c["value"] for c in registry.as_dict()["counters"]}
-            run_campaign(program, config)
-            warm = {(c["name"], tuple(sorted(c["labels"].items()))):
-                    c["value"] for c in registry.as_dict()["counters"]}
-        finally:
-            set_registry(None)
-        key = ("prune_memo_hits_total", ())
-        executed = ("prune_executed_total", ())
-        assert cold.get(key, 0) == 0
-        assert warm[key] > 0
-        # Every second-run execution was replaced by a memo hit.
-        assert warm[executed] == cold[executed]
-
-    def test_sidecar_round_trip(self, tmp_path):
-        program = countdown_loop_program()
-        config = _campaign(prune=True)
-        _fresh_memo(program, config)
-        run_campaign(program, config)
-        memo = memo_for(program, config)
-        assert memo.table  # executions were remembered
-        path = str(tmp_path / "c.journal.memo")
-        save_memo(path, program, config)
-        saved = dict(memo.table)
-        fresh = _fresh_memo(program, config)
-        assert not fresh.table
-        assert load_memo(path, program, config) == len(saved)
-        assert memo_for(program, config).table == saved
-
-    def test_sidecar_identity_mismatch_loads_empty(self, tmp_path):
-        program = countdown_loop_program()
-        config = _campaign(prune=True)
-        _fresh_memo(program, config)
-        run_campaign(program, config)
-        path = str(tmp_path / "c.journal.memo")
-        save_memo(path, program, config)
-        other = _campaign(prune=True, seed=12)
-        _fresh_memo(program, other)
-        assert load_memo(path, program, other) == 0
-        assert not memo_for(program, other).table
-
-    def test_missing_and_corrupt_sidecars_load_empty(self, tmp_path):
-        program = countdown_loop_program()
-        config = _campaign(prune=True)
-        _fresh_memo(program, config)
-        missing = str(tmp_path / "nope.memo")
-        assert load_memo(missing, program, config) == 0
-        garbage = tmp_path / "garbage.memo"
-        garbage.write_text("not a frame\n{}\n")
-        assert load_memo(str(garbage), program, config) == 0
-
-    def test_journal_campaign_persists_sidecar(self, tmp_path):
-        program = countdown_loop_program()
-        config = _campaign(prune=True)
-        _fresh_memo(program, config)
-        path = str(tmp_path / "c.journal")
-        run_campaign(program, config, journal_path=path)
-        assert os.path.exists(path + ".memo")
-        fresh = _fresh_memo(program, config)
-        assert not fresh.table
-        assert load_memo(path + ".memo", program, config) > 0
-
-
 class TestAudit:
     def test_full_audit_passes_and_counts(self):
         program = countdown_loop_program()
         config = _campaign(prune=True, prune_audit=1.0)
-        _fresh_memo(program, config)
         registry = MetricsRegistry()
         set_registry(registry)
         try:
@@ -283,21 +218,34 @@ class TestAudit:
                     for c in registry.as_dict()["counters"]}
         assert counters.get("prune_audit_runs_total", 0) > 0
 
-    def test_audit_catches_planted_wrong_outcome(self):
+    def test_audit_catches_planted_wrong_outcome(self, monkeypatch):
+        # Force every effective fault into the masked class.  At a step
+        # whose representative really is masked, the class replicates
+        # "masked" to members that are not, and the audit's unpruned
+        # re-execution must catch the disagreement.
+        from repro.injection import prune
+
         program = countdown_loop_program()
         config = _campaign(prune=True, prune_audit=1.0)
-        _fresh_memo(program, config)
-        run_campaign(program, config)  # populate the memo with truth
-        memo = memo_for(program, config)
-        assert memo.table
-        # Corrupt one remembered outcome (off-by-one step count): the
-        # next run replicates it from the memo, and the audit's
-        # re-execution must catch the disagreement.
-        key = next(iter(memo.table))
-        memo.table[key] = [memo.table[key][0], memo.table[key][1],
-                           memo.table[key][2] + 1]
+        reference = _reference_run(program, config)
+        budget = reference.trace.steps + config.step_slack
+        for step in range(reference.trace.steps):
+            base = reference.state_at(step)
+            faults = _effective_faults(program, base)
+            truth = _run_faults(program, _campaign(prune=False), reference,
+                                budget, step, base, faults)
+            masked = SettleRules(reference, step, config.error_port).masked
+            if truth and truth[0][1:] == masked \
+                    and any(outcome[1:] != masked for outcome in truth):
+                break
+        else:
+            pytest.fail("no step has a masked representative and an "
+                        "unmasked member")
+        monkeypatch.setattr(prune, "classify_fault",
+                            lambda *args: ("masked",))
         with pytest.raises(PruneAuditError, match="prune audit mismatch"):
-            run_campaign(program, config)
+            run_step_pruned(program, config, reference, budget, step, base,
+                            faults)
 
     def test_audit_catches_truncated_liveness_view(self, monkeypatch):
         # A live-register view that keeps only the program counters
@@ -313,9 +261,7 @@ class TestAudit:
                                 max_sites_per_step=None,
                                 max_values_per_site=1, seed=20260808,
                                 prune=True, prune_audit=1.0)
-        _fresh_memo(program, config)
         run_campaign(program, config)  # the true view passes
-        _fresh_memo(program, config)
         monkeypatch.setattr(Recording, "live_at",
                             lambda self, step: itemgetter(PC_G, PC_B))
         with pytest.raises(PruneAuditError, match="prune audit mismatch"):
@@ -332,7 +278,6 @@ class TestMetrics:
     def test_counters_account_for_every_variant(self):
         program = compile_kernel("vpr", "ft").program
         config = _campaign("vector", prune=True)
-        _fresh_memo(program, config)
         registry = MetricsRegistry()
         set_registry(registry)
         try:
@@ -344,9 +289,8 @@ class TestMetrics:
         assert counters["prune_steps_total"] > 0
         pruned = counters.get("prune_pruned_variants_total", 0)
         executed = counters.get("prune_executed_total", 0)
-        hits = counters.get("prune_memo_hits_total", 0)
         assert pruned > 0  # pruning must bite on a real kernel
-        assert pruned + executed + hits == report.injections
+        assert pruned + executed == report.injections
 
     def test_scalar_screen_counter_labels_reasons(self):
         np = pytest.importorskip("numpy")  # noqa: F841 - vector backend
@@ -398,30 +342,17 @@ class TestStepDriver:
     def test_outcomes_match_unpruned_run_faults(self):
         program = countdown_loop_program()
         config = _campaign(prune=True)
-        _fresh_memo(program, config)
         reference = _reference_run(program, config)
         budget = reference.trace.steps + config.step_slack
         step = 3
         base = reference.state_at(step)
-        faults = []
-        for site in fault_sites(base):
-            for value in representative_values(base, site, program, None):
-                fault = with_value(site, value)
-                if is_effective(base, fault):
-                    faults.append(fault)
+        faults = _effective_faults(program, base)
         assert faults
         pruned = run_step_pruned(program, config, reference, budget, step,
                                  base, list(faults))
         plain = _run_faults(program, config, reference, budget, step,
                             base, list(faults))
         assert pruned == plain
-
-    def test_fault_key_covers_all_fault_kinds(self):
-        from repro.core.faults import QueueZapAddress, QueueZapValue, RegZap
-
-        assert _fault_key(4, RegZap("r1", 9)) == (4, "R", "r1", 9)
-        assert _fault_key(4, QueueZapAddress(0, 9)) == (4, "QA", 0, 9)
-        assert _fault_key(4, QueueZapValue(1, 9)) == (4, "QV", 1, 9)
 
 
 class TestCli:

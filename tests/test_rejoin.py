@@ -59,7 +59,6 @@ from repro.injection.campaign import (
     _run_scalar,
     _step_rng,
 )
-from repro.injection.prune import _MEMO_TABLES
 from repro.observe import MetricsRegistry, set_registry
 from repro.program import Program
 from repro.workloads import ALL_KERNELS, compile_kernel
@@ -78,7 +77,6 @@ def _counters(registry):
 
 def _records_parity(kernel, mode, backend):
     program = compile_kernel(kernel, mode).program
-    _MEMO_TABLES.clear()  # every pruned variant executes or replicates
     registry = MetricsRegistry()
     set_registry(registry)
     try:

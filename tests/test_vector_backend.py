@@ -40,7 +40,11 @@ from repro.injection.campaign import _reference_run, classify_tail
 from repro.injection.chaos import report_fingerprint
 from repro.observe import MetricsRegistry, set_registry
 from repro.workloads import ALL_KERNELS, compile_kernel
-from tests.helpers import countdown_loop_program, paper_store_program
+from tests.helpers import (
+    countdown_loop_program,
+    executed_variants,
+    paper_store_program,
+)
 
 SOURCE = """
 array out[4];
@@ -57,6 +61,18 @@ def _campaign(backend, **overrides):
     params = dict(_TINY)
     params.update(overrides)
     return CampaignConfig(backend=backend, **params)
+
+
+def _both_execute(program, first, second):
+    """Run two pruned campaigns in turn; check that the second executes
+    as many variants as the first, and more than none -- so it never
+    replays the first one's outcomes -- and return both reports."""
+    report_a, executed_a = executed_variants(
+        lambda: run_campaign(program, first))
+    report_b, executed_b = executed_variants(
+        lambda: run_campaign(program, second))
+    assert executed_b == executed_a > 0, (executed_a, executed_b)
+    return report_a, report_b
 
 
 class TestBackendRegistry:
@@ -88,8 +104,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_vector_matches_step_on_kernel(self, kernel):
         program = compile_kernel(kernel, "ft").program
-        vector = run_campaign(program, _campaign("vector"))
-        step = run_campaign(program, _campaign("step"))
+        vector, step = _both_execute(program, _campaign("vector"),
+                                     _campaign("step"))
         assert report_fingerprint(vector) == report_fingerprint(step)
 
     def test_deep_sweep_matches_including_latency_buckets(self):
@@ -97,10 +113,9 @@ class TestKernelParity:
         program = compile_kernel("vpr", "ft").program
         config = dict(max_injection_steps=4, max_sites_per_step=None,
                       max_values_per_site=2, seed=3)
-        vector = run_campaign(program, CampaignConfig(backend="vector",
-                                                      **config))
-        compiled = run_campaign(program, CampaignConfig(backend="compiled",
-                                                        **config))
+        vector, compiled = _both_execute(
+            program, CampaignConfig(backend="vector", **config),
+            CampaignConfig(backend="compiled", **config))
         assert report_fingerprint(vector) == report_fingerprint(compiled)
         assert vector.latency_buckets == compiled.latency_buckets
         assert vector.latency_buckets  # the sweep must land some latencies
@@ -278,10 +293,9 @@ class TestModesAndPorts:
         program = compile_source(SOURCE, mode="baseline").program
         config = dict(max_injection_steps=6, max_sites_per_step=None,
                       max_values_per_site=2, seed=5)
-        vector = run_campaign(program, CampaignConfig(backend="vector",
-                                                      **config))
-        step = run_campaign(program, CampaignConfig(backend="step",
-                                                    **config))
+        vector, step = _both_execute(
+            program, CampaignConfig(backend="vector", **config),
+            CampaignConfig(backend="step", **config))
         assert report_fingerprint(vector) == report_fingerprint(step)
 
     def test_swift_error_port_parity(self):
@@ -291,10 +305,9 @@ class TestModesAndPorts:
         config = dict(max_injection_steps=6, max_sites_per_step=None,
                       max_values_per_site=2, seed=5,
                       error_port=ERROR_PORT)
-        vector = run_campaign(program, CampaignConfig(backend="vector",
-                                                      **config))
-        step = run_campaign(program, CampaignConfig(backend="step",
-                                                    **config))
+        vector, step = _both_execute(
+            program, CampaignConfig(backend="vector", **config),
+            CampaignConfig(backend="step", **config))
         assert report_fingerprint(vector) == report_fingerprint(step)
 
 
