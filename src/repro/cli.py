@@ -46,7 +46,9 @@ from repro.asm import emit_tal, parse_program
 from repro.compiler import compile_source
 from repro.core import Machine, Outcome, RegZap
 from repro.core.errors import ReproError
-from repro.injection import CampaignConfig, ResilienceConfig, run_campaign
+from repro.injection import (
+    CampaignConfig, ReferenceDidNotHalt, ResilienceConfig, run_campaign,
+)
 from repro.simulator import DEFAULT_CONFIG, RELAXED_CONFIG, simulate
 from repro.types import TypeCheckError
 
@@ -208,6 +210,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         prune=not args.no_prune,
         prune_audit=args.prune_audit,
+        max_steps=args.max_steps,
     )
     resilience = None
     if args.chunk_timeout is not None or args.max_retries is not None:
@@ -217,19 +220,30 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.max_retries is not None:
             kwargs["max_retries"] = args.max_retries
         resilience = ResilienceConfig(**kwargs)
-    if args.shards is not None:
-        from repro.service import run_campaign_sharded
+    try:
+        if args.shards is not None:
+            from repro.service import run_campaign_sharded
 
-        report = run_campaign_sharded(
-            compiled.program, config, shards=args.shards, workers=workers,
-            backend=args.backend, journal_path=args.journal,
-            resume=args.resume, resilience=resilience,
-            progress=getattr(args, "progress", False), authkey=authkey)
-    else:
-        report = run_campaign(compiled.program, config, backend=args.backend,
-                              journal_path=args.journal, resume=args.resume,
-                              resilience=resilience,
-                              progress=getattr(args, "progress", False))
+            report = run_campaign_sharded(
+                compiled.program, config, shards=args.shards,
+                workers=workers, backend=args.backend,
+                journal_path=args.journal, resume=args.resume,
+                resilience=resilience,
+                progress=getattr(args, "progress", False), authkey=authkey)
+        else:
+            report = run_campaign(
+                compiled.program, config, backend=args.backend,
+                journal_path=args.journal, resume=args.resume,
+                resilience=resilience,
+                progress=getattr(args, "progress", False))
+    except ReferenceDidNotHalt as error:
+        if error.trace.outcome is Outcome.RUNNING:
+            print(f"error: the fault-free run did not halt within "
+                  f"--max-steps {args.max_steps}; raise --max-steps",
+                  file=sys.stderr)
+        else:
+            print(f"error: {error}", file=sys.stderr)
+        return 2
     print(report.summary())
     if report.resilience is not None \
             and any(report.resilience.as_dict().values()):
@@ -557,6 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
                           type=_int_at_least(1, "--stride"), default=1,
                           help="inject at every k-th dynamic step before "
                                "sampling (1 = every step)")
+    campaign.add_argument("--max-steps",
+                          type=_int_at_least(1, "--max-steps"),
+                          default=CampaignConfig.max_steps,
+                          help="cap on the fault-free reference run; a "
+                               "program that has not halted by then is "
+                               "refused (default %(default)s)")
     campaign.add_argument("--journal", metavar="PATH",
                           help="append every completed injection step to a "
                                "durable (fsync'd, checksummed) JSONL "

@@ -101,7 +101,11 @@ class CompiledExec:
     (:meth:`plan`) writes that address's fused chain over its slot, or the
     base closure when fewer than two instructions fuse there.  Threads
     take no lock: racing first calls each install an equivalent function
-    with a single dict store.
+    with a single dict store.  ``extent`` maps every planned address to
+    the number of instructions its entry executes when no check fires.
+    ``views`` holds what drivers derive from the compilation (the
+    campaign reference walk's per-chain plans); it lives and dies with
+    the compilation.
     ``registers`` is every register name any closure touches; drivers
     verify it is a subset of the live register bank before entering
     closures (the interpreter reports unknown registers with a
@@ -110,7 +114,7 @@ class CompiledExec:
     """
 
     __slots__ = ("code", "oob_policy", "base", "fast", "planner",
-                 "registers", "size")
+                 "extent", "views", "registers", "size")
 
     def __init__(
         self,
@@ -127,11 +131,14 @@ class CompiledExec:
         #: One bound method shared by every unplanned slot of ``fast``.
         self.planner: Closure = self._plan_and_run
         self.fast: Dict[int, Closure] = dict.fromkeys(base, self.planner)
+        self.extent: Dict[int, int] = {}
+        self.views: Dict[str, object] = {}
 
     def plan(self, address: int) -> Closure:
         """Plan and compile the chain at ``address``, install it in
         ``fast`` and return it."""
-        entry = plan_chain(self.code, self.base, address, self.oob_policy)
+        entry, self.extent[address] = plan_chain(
+            self.code, self.base, address, self.oob_policy)
         self.fast[address] = entry
         return entry
 

@@ -635,13 +635,14 @@ def _codegen_chain(interiors: List[Instruction],
 
 
 def plan_chain(code: Dict[int, Instruction], base: Dict[int, object],
-               address: int, oob_policy) -> object:
-    """The ``fast`` entry for ``address``: plan the chain that starts
-    there, generate its source and compile it.
+               address: int, oob_policy) -> Tuple[object, int]:
+    """The ``fast`` entry for ``address`` and the number of instructions
+    it executes when no check fires: plan the chain that starts there,
+    generate its source and compile it.
 
-    Returns ``base[address]`` instead when fewer than two instructions
-    fuse.  Every call plans afresh and shares nothing with other calls,
-    so racing callers each get an equivalent function.
+    Returns ``(base[address], 1)`` instead when fewer than two
+    instructions fuse.  Every call plans afresh and shares nothing with
+    other calls, so racing callers each get an equivalent function.
     """
     interiors: List[Instruction] = []
     cursor = address
@@ -651,7 +652,7 @@ def plan_chain(code: Dict[int, Instruction], base: Dict[int, object],
     count, source, env = _codegen_chain(
         interiors, code.get(cursor), code.get(cursor + 1), oob_policy)
     if count < 2:
-        return base[address]
+        return base[address], 1
     exec(compile(source, "<fused-chain>", "exec"), env)
     get_registry().counter("exec_fused_chains_compiled_total").inc()
-    return env["_chain"]
+    return env["_chain"], count

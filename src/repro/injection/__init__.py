@@ -6,6 +6,7 @@ from repro.injection.campaign import (
     CampaignReport,
     FaultResult,
     InjectionRecord,
+    ReferenceDidNotHalt,
     ReferenceRun,
     classify,
     classify_tail,
@@ -53,6 +54,7 @@ __all__ = [
     "FaultResult",
     "InjectionRecord",
     "JournalMismatch",
+    "ReferenceDidNotHalt",
     "ReferenceRun",
     "ResilienceConfig",
     "ResilienceStats",

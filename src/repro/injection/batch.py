@@ -32,6 +32,7 @@ report, only its speed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 from repro.core.faults import Fault, QueueZapAddress, QueueZapValue, RegZap
@@ -92,7 +93,7 @@ def run_step_batch(
         return None
     s = step_index
     oob_policy = config.oob_policy
-    outputs_before = reference.outputs_before
+    output_steps = reference.output_steps
     ref_outputs = reference.trace.outputs
     ref_steps = reference.trace.steps
 
@@ -156,6 +157,7 @@ def run_step_batch(
             [(vector_faults[lane], state, t)], run_compiled)
 
     cutoff = min(CUTOFF_LANES, max(1, batch.n // 2))
+    produced = bisect_left(output_steps, s)  # the next reference output
     t = s
     while t < ref_steps and batch.active_count:
         if t % 2 == 0 and batch.active_count <= cutoff:
@@ -169,10 +171,10 @@ def run_step_batch(
             for lane, state in fallback:
                 settle_fallback(lane, state, t, "pc")
         else:
-            next_count = outputs_before[t + 1] if t + 1 < ref_steps \
-                else len(ref_outputs)
-            ref_pair = ref_outputs[outputs_before[t]] \
-                if next_count > outputs_before[t] else None
+            ref_pair = None
+            if produced < len(output_steps) and output_steps[produced] == t:
+                ref_pair = ref_outputs[produced]
+                produced += 1
             spec = schedule.specs[instr_index]
             faulted, fallback, halted = batch.execute(
                 spec, schedule.instrs[instr_index],

@@ -41,7 +41,9 @@ from __future__ import annotations
 import enum
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace as _dc_replace
+from itertools import chain
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
@@ -393,6 +395,17 @@ def classify_tail(
     return FaultResult.TIMEOUT
 
 
+class ReferenceDidNotHalt(ValueError):
+    """The fault-free reference run ended without halting: it ran into
+    :attr:`CampaignConfig.max_steps` (``trace.outcome`` is ``RUNNING``),
+    got stuck or faulted.  Campaigns need terminating programs."""
+
+    def __init__(self, trace: Trace):
+        super().__init__(f"reference run did not halt ({trace.outcome}); "
+                         "campaigns need terminating programs")
+        self.trace = trace
+
+
 class ReferenceRun:
     """The fault-free reference run, stored as checkpoints + replay.
 
@@ -403,15 +416,20 @@ class ReferenceRun:
     ``checkpoint_interval - 1`` steps from the nearest checkpoint.  The
     semantics is deterministic (the reference run never consults the
     random source), so replayed states are equal to eager snapshots.
+    ``checkpoints[k]`` is the state at step ``k * interval`` exactly,
+    whichever engine walked; read it through :meth:`checkpoint`, since a
+    fused walk leaves the ones that fell inside a chain to be advanced
+    on first use.  ``output_steps`` holds the step of every reference
+    output, and :meth:`outputs_before` counts them by bisection.
     """
 
-    __slots__ = ("trace", "outputs_before", "checkpoints", "interval",
+    __slots__ = ("trace", "output_steps", "checkpoints", "interval",
                  "oob_policy", "compiled", "recording")
 
     def __init__(
         self,
         trace: Trace,
-        outputs_before: List[int],
+        output_steps: List[int],
         checkpoints: List[MachineState],
         interval: int,
         oob_policy: OobPolicy,
@@ -419,9 +437,9 @@ class ReferenceRun:
         recording: Optional["Recording"] = None,
     ):
         self.trace = trace
-        #: Per step, the number of outputs emitted before it (needed to
-        #: rebuild a faulty run's full output sequence).
-        self.outputs_before = outputs_before
+        #: The step that emitted each output, in output order (one output
+        #: per step at most); :meth:`outputs_before` counts them.
+        self.output_steps = output_steps
         self.checkpoints = checkpoints
         self.interval = interval
         self.oob_policy = oob_policy
@@ -438,6 +456,11 @@ class ReferenceRun:
     def num_steps(self) -> int:
         return self.trace.steps
 
+    def outputs_before(self, step_index: int) -> int:
+        """The number of outputs emitted before step ``step_index`` (what
+        a faulty run injected there has already produced)."""
+        return bisect_left(self.output_steps, step_index)
+
     def tail(self, step_index: int,
              stop: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
         """The fault-free outputs after step ``step_index``: what every
@@ -447,8 +470,21 @@ class ReferenceRun:
         until it was detected (or handed to another engine) there."""
         outputs = self.trace.outputs
         end = len(outputs) if stop is None or stop >= self.trace.steps \
-            else self.outputs_before[stop]
-        return tuple(outputs[self.outputs_before[step_index]:end])
+            else self.outputs_before(stop)
+        return tuple(outputs[self.outputs_before(step_index):end])
+
+    def checkpoint(self, index: int) -> MachineState:
+        """The state at step ``index * interval``, shared: callers must
+        not mutate it.  A fused walk leaves a checkpoint that fell inside
+        a chain as ``(state, count)``, a clone taken ``count`` steps
+        before the boundary; it is advanced on its first use."""
+        entry = self.checkpoints[index]
+        if type(entry) is tuple:
+            state, count = entry
+            state = state.clone()  # other boundaries may share the clone
+            _advance(state, count, self.compiled.base, self.oob_policy)
+            self.checkpoints[index] = entry = state
+        return entry
 
     def state_at(self, step_index: int) -> MachineState:
         """A fresh machine state as it was *before* step ``step_index``.
@@ -461,7 +497,7 @@ class ReferenceRun:
                 f"(0..{self.trace.steps - 1})"
             )
         interval = self.interval
-        state = self.checkpoints[step_index // interval].clone()
+        state = self.checkpoint(step_index // interval).clone()
         oob_policy = self.oob_policy
         for _ in range(step_index % interval):
             _semantics_step(state, oob_policy)
@@ -491,7 +527,7 @@ class SettleRules:
             # A trailing error-port write can reclassify even an exact run.
             result = classify_tail(
                 Trace(Outcome.HALTED, list(self.full_tail), steps),
-                reference.trace, reference.outputs_before[step_index],
+                reference.trace, reference.outputs_before(step_index),
                 error_port)
         self.masked = (result, self.full_tail, steps)
 
@@ -542,7 +578,10 @@ _LIVE_STRIDE = 16
 
 class Recording:
     """What the fault-free walk recorded, one entry per executed
-    instruction, for the pruner and the vector engine.
+    instruction, for the pruner and the vector engine.  The walk fills
+    the live parts as it runs (queue events, ``universe``,
+    ``commit_addrs``) and :meth:`finish` the rest from its dispatch
+    log, so a fused walk and an interpreter walk record the same run.
 
     ``pcs[i]`` and ``instrs[i]`` are the fetch address and instruction of
     the ``i``-th instruction, whose execute step is ``2 * i + 1``.
@@ -646,22 +685,6 @@ class Recording:
             end = start
         return masks, transfer
 
-    def _template(self, instr) -> tuple:
-        """``instr``'s recording template ``(live, events, taken_events,
-        reg)`` and its liveness transfer.  First touches depend only on
-        register names, so each event is bound once to its register's
-        array; ``live`` says what must be read at run time (``reg`` holds
-        the register it reads), and a branch the reference takes records
-        ``taken_events`` instead of ``events``."""
-        live, touches, taken, reg, uses = _touches(instr)
-        if reg is not None and reg not in self.reg_names:
-            # The reference itself fails on the unknown register; the
-            # walk must not fail first.
-            live, touches, taken = _LIVE_UNMODELED, [], None
-        return ((live, self._bind(touches),
-                 self._bind(taken) if taken is not None else None, reg),
-                uses)
-
     def _bind(self, touches) -> tuple:
         seen = set()
         bound = []
@@ -673,71 +696,67 @@ class Recording:
             bound.append((events.append, kind))
         return tuple(bound)
 
-    def recorder(self, state: MachineState):
-        """The walk's per-instruction hook: ``record(pc, t)`` records the
-        instruction at ``pc`` whose execute step is ``t``.  It is called
-        after the fetch (or just before a closure runs fetch and execute
-        together); a fetch changes only ``ir``, so everything read here
-        is what the execute step sees."""
-        regs = state.regs._regs
-        code = state.code
-        queue = state.queue._pairs
-        templates: Dict[int, tuple] = {}
-        liveness = self.liveness
-        pcs_append = self.pcs.append
-        queue_steps_append = self.queue_steps.append
-        queue_events_append = self.queue_events.append
-        universe_add = self.universe.add
-        commit_add = self.commit_addrs.add
-        push = (QE_PUSH,)
-
-        def record(pc: int, t: int) -> None:
-            template = templates.get(pc)
-            if template is None:
-                template, liveness[pc] = self._template(code[pc])
-                templates[pc] = template
-            live, events, taken, reg = template
-            pcs_append(pc)
-            if live:
-                if live == _LIVE_BRANCH:
-                    if regs[reg][1] == 0:  # the reference takes it
-                        events = taken
-                elif live == _LIVE_LOAD_GREEN:
-                    address = regs[reg][1]
-                    hit = -1
-                    for index, pair in enumerate(queue):
-                        if pair[0] == address:
-                            hit = index
-                            break
-                    queue_steps_append(t)
-                    queue_events_append((QE_SCAN, address, hit))
-                elif live == _LIVE_STORE_GREEN:
-                    universe_add(regs[reg][1])
-                    queue_steps_append(t)
-                    queue_events_append(push)
-                elif live == _LIVE_STORE_BLUE:
-                    if queue:
-                        commit_add(queue[-1][0])
-                        queue_steps_append(t)
-                        queue_events_append((QE_POP, len(queue)))
-                    else:  # the reference faults here
-                        self.prunable = False
-                elif live == _LIVE_STORE_PLAIN:
-                    address = regs[reg][1]
-                    universe_add(address)
-                    commit_add(address)
-                else:
-                    self.prunable = False
-            t <<= EV_BITS
-            for append, kind in events:
-                append(t | kind)
-
-        return record
-
-    def finish(self, steps: int, code) -> "Recording":
-        """Seal the recording of a halted run of ``steps`` steps."""
+    def finish(self, steps: int, log: List[list],
+               shapes: Dict[int, tuple], taken) -> "Recording":
+        """Seal the recording of a halted run of ``steps`` steps from the
+        walk's dispatch log (see :func:`_walk`).  :attr:`pcs` and
+        :attr:`instrs` are the entries' addresses and instructions in
+        order.  Each entry binds its static register events once per
+        walk, each event to its register's array with its step as an
+        offset from the entry's first execute step.  ``shapes[pc]`` is
+        the :func:`_shape` of each executed address, and ``taken`` holds
+        the execute step of every branch the reference took, which
+        records the branch's ``taken_touches`` instead of its
+        ``touches``.  First touches depend only on register names, so
+        each address binds its events once."""
         self.steps = steps
-        self.instrs = list(map(code.__getitem__, self.pcs))
+        self.pcs = list(chain.from_iterable(map(itemgetter(1), log)))
+        self.instrs = list(chain.from_iterable(map(itemgetter(2), log)))
+        liveness = self.liveness
+        bound: Dict[int, tuple] = {}
+
+        def bind(addresses) -> tuple:
+            """``(events, branches)`` of an entry: ``(append, offset |
+            kind)`` per static event, and ``(offset, touches,
+            taken_touches)`` per branch.  Fusion puts a chain's
+            branches last, so its static events all come before them."""
+            events = []
+            branches = []
+            for j, pc in enumerate(addresses):
+                pair = bound.get(pc)
+                if pair is None:
+                    live, touches, taken_touches, _, uses = shapes[pc]
+                    liveness[pc] = uses
+                    if live == _LIVE_UNMODELED:
+                        self.prunable = False
+                    pair = bound[pc] = (
+                        self._bind(touches), None if taken_touches is None
+                        else self._bind(taken_touches))
+                untaken, taken_events = pair
+                if taken_events is None:
+                    shift = 2 * j << EV_BITS
+                    events.extend((append, shift | kind)
+                                  for append, kind in untaken)
+                else:
+                    branches.append((2 * j, untaken, taken_events))
+            return tuple(events), tuple(branches)
+
+        t = 1
+        for entry in log:
+            template = entry[6]
+            if template is None:
+                template = entry[6] = bind(entry[1])
+            events, branches = template
+            packed = t << EV_BITS
+            for append, offset in events:
+                append(packed + offset)
+            for offset, untaken, taken_events in branches:
+                at = t + offset
+                packed = at << EV_BITS
+                for append, kind in (taken_events if at in taken
+                                     else untaken):
+                    append(packed | kind)
+            t += entry[0]
         self.reg_events = {name: events
                            for name, events in self.reg_events.items()
                            if events}
@@ -746,11 +765,22 @@ class Recording:
         return self
 
 
+def _shape(instr, reg_names) -> tuple:
+    """:func:`_touches` of ``instr``, for a run over ``reg_names``: an
+    instruction whose live read names a register outside the bank is
+    unmodeled (the reference itself fails on it; the walk must not fail
+    first)."""
+    live, touches, taken, reg, uses = _touches(instr)
+    if reg is not None and reg not in reg_names:
+        return _LIVE_UNMODELED, [], None, reg, uses
+    return live, touches, taken, reg, uses
+
+
 def _touches(instr) -> tuple:
     """The pruner's register events of ``instr`` in the order
     :mod:`repro.core.semantics` touches them, and its liveness transfer,
     as ``(live, touches, taken_touches, reg, uses)`` (see
-    :meth:`Recording._template`).  Only the first touch counts: ``add r1,
+    :func:`_shape`).  Only the first touch counts: ``add r1,
     r1, r2`` *reads* a corrupt r1 before overwriting it.
 
     ``uses`` is ``(kill, if_live, always)`` for :meth:`Recording.live_at`:
@@ -852,19 +882,351 @@ def _transfer(color: Color, rd: str) -> list:
     return checks + [(PC_G, EV_WRITE), (PC_B, EV_WRITE)]
 
 
+#: Rules of a branch the reference takes.
+_TAKEN_RULES = frozenset(("bzG-taken", "bzB-taken", "bz-taken"))
+
+#: The step count of a chain the walk runs one instruction at a time.
+_UNFUSED_STEPS = 1 << 62
+
+_PCS = frozenset((PC_G, PC_B))
+
+
+def _writes(instr) -> frozenset:
+    """The registers ``instr`` can write, program counters included."""
+    if isinstance(instr, (ArithRRR, ArithRRI, Mov, Load, PlainLoad)):
+        return _PCS | {instr.rd}
+    if isinstance(instr, (Jmp, Bz)):
+        return _PCS | {DEST}
+    return _PCS
+
+
+def _read_after(live: int, reg: str, j: int, writes: List[frozenset],
+                queued: List[bool]) -> bool:
+    """Does the state after a dispatch of a chain still hold what the
+    chain's ``j``-th instruction, a load or a store, read live?  It does
+    when no instruction from ``j`` on writes ``reg`` and, for a green
+    load's queue scan and a blue store's pop, none after ``j`` pushes or
+    pops the store queue.  ``writes[k]`` and ``queued[k]`` say what the
+    chain's ``k``-th instruction writes and whether it pushes or pops.
+    A blue store's commit address is its address register on the
+    success path."""
+    if reg in frozenset().union(*writes[j:]):
+        return False
+    return not ((live == _LIVE_LOAD_GREEN or live == _LIVE_STORE_BLUE)
+                and any(queued[j + 1:]))
+
+
+def _plan_entry(compiled: CompiledExec, pc: int,
+                shape: Callable[[int], tuple]) -> tuple:
+    """What the walk's log entry of the chain at ``pc`` holds whatever
+    the run: ``(steps, addresses, instructions, entry, backs, ops)``,
+    where ``ops`` lists ``(offset, live, reg)`` per load or store
+    (``None`` when there are none, or when the chain runs unfused and
+    ``steps`` is ``_UNFUSED_STEPS``: a read the state after the dispatch
+    no longer holds, see :func:`_read_after`).  Plans the chain if no
+    run has."""
+    fn = compiled.fast[pc]
+    if fn is compiled.planner:
+        fn = compiled.plan(pc)
+    span = tuple(range(pc, pc + compiled.extent[pc]))
+    nsteps = 2 * len(span)
+    instrs = tuple(map(compiled.code.__getitem__, span))
+    writes = [_writes(instr) for instr in instrs]
+    queued = [type(instr) is Store for instr in instrs]
+    ops = []
+    backs = []
+    for j, address in enumerate(span):
+        live, _, _, reg, _ = shape(address)
+        if live == _LIVE_NONE or live == _LIVE_UNMODELED:
+            continue
+        if live == _LIVE_BRANCH:
+            backs.append(nsteps - 2 * j - 1)
+            continue
+        if live == _LIVE_STORE_BLUE:
+            reg = instrs[j].rd  # the address it commits, after it
+        if not _read_after(live, reg, j, writes, queued):
+            return _UNFUSED_STEPS, span, instrs, fn, None, None
+        ops.append((2 * j + 1, live, reg))
+    return nsteps, span, instrs, fn, tuple(backs) or None, \
+        tuple(ops) or None
+
+
+def _walk(state: MachineState, compiled: Optional[CompiledExec],
+          interval: int, max_steps: int, oob_policy: OobPolicy,
+          recording: Recording) -> tuple:
+    """Run ``state`` fault-free for at most ``max_steps`` steps, taking a
+    checkpoint at every multiple of ``interval`` and recording what
+    :class:`Recording` needs.  Returns ``(outputs, output_steps,
+    checkpoints, steps, log, shapes, taken)``: ``log`` holds one entry
+    per dispatch, in order, and :meth:`Recording.finish` takes the rest.
+
+    With a compilation the walk dispatches through ``compiled.fast``, the
+    fused chains :func:`~repro.exec.run_compiled` uses.  Each chain start
+    gets one entry per walk, ``[steps, addresses, instructions, entry,
+    act, backs, events]``: its step count when no check fires
+    (:attr:`CompiledExec.extent`), the addresses and instructions it
+    executes, its entry, the wrapper that runs it and takes its loads'
+    and stores' live reads from the state after it (``None`` when it
+    has none), how far from its end its branches execute
+    (their directions are read from the rules the dispatch returns), and
+    its static register events once :meth:`Recording.finish` binds
+    them (see :func:`_plan_entry` for what every walk shares).  A chain
+    that would reach a
+    checkpoint boundary runs fused all the same; the checkpoint is a
+    clone of the state before the chain, advanced to the boundary on the
+    per-instruction closures when it is first used
+    (:meth:`ReferenceRun.checkpoint`).  A chain with a read the state
+    after it no longer holds, a chain past the step cap, and everything
+    the closures cannot drive (a pending ``ir``, disagreeing program
+    counters) run one instruction at a time, each with an entry of its
+    own and its reads taken between fetch and execute.
+    """
+    regs = state.regs._regs
+    code = state.code
+    queue = state.queue._pairs
+    obs = state.observable_min
+    reg_names = recording.reg_names
+    outputs: List[Tuple[int, int]] = []
+    emit = outputs.append
+    output_steps: List[int] = []
+    output_step = output_steps.append
+    checkpoints: List[MachineState] = [state.clone()]
+    log: List[list] = []
+    log_append = log.append
+    singles: Dict[int, list] = {}
+    if compiled is not None:
+        # What the walk derives from the code alone is shared by every
+        # walk over the compilation (its bank holds every register the
+        # closures name, so no shape depends on the run's bank).
+        plans, shapes = compiled.views.setdefault("reference-walk",
+                                                  ({}, {}))
+    else:
+        plans, shapes = {}, {}
+    taken = set()
+    taken_add = taken.add
+    taken_rules = _TAKEN_RULES
+    queue_step = recording.queue_steps.append
+    queue_event = recording.queue_events.append
+    universe_add = recording.universe.add
+    commit_add = recording.commit_addrs.add
+    push = (QE_PUSH,)
+    running = Status.RUNNING
+    rand = _zero_rand
+
+    def shape(pc: int) -> tuple:
+        found = shapes.get(pc)
+        if found is None:
+            found = shapes[pc] = _shape(code[pc], reg_names)
+        return found
+
+    def scan(reg: str) -> tuple:
+        """A green load's queue event: its address and the queue index
+        it hits (-1 for memory)."""
+        address = regs[reg][1]
+        for index, pair in enumerate(queue):
+            if pair[0] == address:
+                return QE_SCAN, address, index
+        return QE_SCAN, address, -1
+
+    def note(pc: int, t: int) -> None:
+        """Log the instruction at ``pc`` executing at step ``t`` on its
+        own, and record its live reads from the state between its fetch
+        and its execute."""
+        live, _, _, reg, _ = shape(pc)
+        entry = singles.get(pc)
+        if entry is None:
+            entry = singles[pc] = [2, (pc,), (code[pc],), None, None, None,
+                                   None]
+        log_append(entry)
+        if live == _LIVE_BRANCH:
+            if regs[reg][1] == 0:
+                taken_add(t)
+        elif live == _LIVE_LOAD_GREEN:
+            queue_step(t)
+            queue_event(scan(reg))
+        elif live == _LIVE_STORE_GREEN:
+            universe_add(regs[reg][1])
+            queue_step(t)
+            queue_event(push)
+        elif live == _LIVE_STORE_BLUE:
+            if queue:
+                commit_add(queue[-1][0])
+                queue_step(t)
+                queue_event((QE_POP, len(queue)))
+            else:  # the reference faults here
+                recording.prunable = False
+        elif live == _LIVE_STORE_PLAIN:
+            address = regs[reg][1]
+            universe_add(address)
+            commit_add(address)
+
+    def recipe(pc: int) -> list:
+        """The log entry of the chain at ``pc``."""
+        plan = plans.get(pc)
+        if plan is None:
+            plan = plans[pc] = _plan_entry(compiled, pc, shape)
+        nsteps, span, instrs, fn, backs, ops = plan
+        if ops is None:
+            return [nsteps, span, instrs, fn, None, backs, None]
+
+        def act(t0: int) -> tuple:
+            count = len(outputs)
+            ret = fn(state, regs, emit, rand)
+            emitted = len(outputs) - count
+            for offset, live, reg in ops:
+                t = t0 + offset
+                if live == _LIVE_LOAD_GREEN:
+                    queue_step(t)
+                    queue_event(scan(reg))
+                    continue
+                address = regs[reg][1]
+                if live == _LIVE_STORE_GREEN:
+                    universe_add(address)
+                    queue_step(t)
+                    queue_event(push)
+                    continue
+                if live == _LIVE_STORE_PLAIN:
+                    universe_add(address)
+                else:  # a blue store: it popped the entry it committed
+                    queue_step(t)
+                    queue_event((QE_POP, len(queue) + 1))
+                commit_add(address)
+                # A store emits iff it commits an observable address; a
+                # check that fires ends the chain before its own store.
+                if emitted and address >= obs:
+                    output_step(t)
+                    emitted -= 1
+            return ret
+
+        return [nsteps, span, instrs, fn, act, backs, None]
+
+    chains: Dict[int, list] = {}
+    chain_get = chains.get
+    base = compiled.base if compiled is not None else {}
+    steps = 0
+    boundary = interval  # the next checkpoint step
+    stop = min(boundary, max_steps)
+    unfused = 0  # instructions of an unfused chain still to run
+    while steps < max_steps and state.status is running:
+        if base and not unfused and state.ir is None:
+            while True:  # the fused loop
+                pcg = regs[PC_G][1]
+                if pcg != regs[PC_B][1]:
+                    break
+                chain = chain_get(pcg)
+                if chain is None:
+                    if pcg not in base:
+                        break
+                    chain = chains[pcg] = recipe(pcg)
+                nsteps, _, _, fn, act, backs, _ = chain
+                start = steps
+                if start + nsteps < stop:
+                    ret = fn(state, regs, emit, rand) if act is None \
+                        else act(start)
+                    steps += len(ret)
+                else:  # the chain reaches a checkpoint boundary or the cap
+                    if start + nsteps > max_steps:
+                        break  # past the cap, or unfused
+                    before = state.clone() if start + nsteps > boundary \
+                        else None
+                    ret = fn(state, regs, emit, rand) if act is None \
+                        else act(start)
+                    steps += len(ret)
+                    while boundary <= steps:
+                        if boundary == steps:
+                            if state.status is running:
+                                checkpoints.append(state.clone())
+                        else:
+                            checkpoints.append((before, boundary - start))
+                        boundary += interval
+                    stop = min(boundary, max_steps)
+                log_append(chain)
+                if state.status is not running:
+                    break
+                if backs is not None:
+                    for back in backs:
+                        if ret[-back] in taken_rules:
+                            taken_add(steps - back)
+            if state.status is not running:
+                break
+            pcg = regs[PC_G][1]
+            chain = chain_get(pcg) if pcg == regs[PC_B][1] else None
+            if chain is not None and chain[0] == _UNFUSED_STEPS:
+                unfused = len(chain[1])
+        if (base and state.ir is None and boundary - steps >= 2
+                and max_steps - steps >= 2):
+            pcg = regs[PC_G][1]
+            closure = base.get(pcg) if pcg == regs[PC_B][1] else None
+            if closure is not None:
+                t = steps + 1
+                note(pcg, t)
+                count = len(outputs)
+                closure(state, regs, emit, rand)
+                if len(outputs) > count:
+                    output_step(t)
+                steps += 2
+                if unfused:
+                    unfused -= 1
+                if steps == boundary:
+                    if state.status is running:
+                        checkpoints.append(state.clone())
+                    boundary += interval
+                    stop = min(boundary, max_steps)
+                continue
+        fetch = state.ir is None
+        result = _semantics_step(state, oob_policy)
+        if result.outputs:
+            outputs.extend(result.outputs)
+            output_steps.extend([steps] * len(result.outputs))
+        steps += 1
+        if fetch:
+            if state.ir is not None:
+                note(regs[PC_G][1], steps)
+        elif unfused:
+            unfused -= 1
+        if steps == boundary:
+            if state.status is running:
+                checkpoints.append(state.clone())
+            boundary += interval
+            stop = min(boundary, max_steps)
+    return outputs, output_steps, checkpoints, steps, log, shapes, taken
+
+
+def _discard(pair) -> None:
+    pass
+
+
+def _zero_rand() -> int:
+    return 0  # the reference semantics never consults rand
+
+
+def _advance(state: MachineState, count: int, base: Dict[int, Callable],
+             oob_policy: OobPolicy) -> None:
+    """Run ``state`` fault-free ``count`` steps further: whole
+    instructions on their closures, a pending execute and a last lone
+    fetch on the interpreter.  Its outputs were emitted already."""
+    regs = state.regs._regs
+    if state.ir is not None:
+        _semantics_step(state, oob_policy)
+        count -= 1
+    while count >= 2:
+        base[regs[PC_G][1]](state, regs, _discard, _zero_rand)
+        count -= 2
+    if count:
+        _semantics_step(state, oob_policy)
+
+
 def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
     """Fault-free reference run with sparse checkpoints and a
     :class:`Recording` of every instruction it executes.
 
-    One loop serves both engines: one unfused closure per whole
-    instruction (fetch + execute) when the program is compiled, the
-    interpreter otherwise.  ``outputs_before`` still needs a
-    per-small-step entry, and both of an instruction's steps see the same
-    pre-instruction output count (only the execute sub-step emits, and
-    its outputs land after it).  The closure path is skipped whenever an
-    instruction would straddle a checkpoint boundary, the step cap, or a
-    pending instruction register, so checkpoints land at exactly the same
-    step indices as under the interpreter.
+    On a compiled program the walk dispatches the fused chains
+    :func:`~repro.exec.run_compiled` uses, planning any it reaches
+    first; otherwise it steps the interpreter (:func:`_walk`).  Either
+    way its trace, output steps, checkpoint states and recording are
+    the same: checkpoints stand for exactly the multiples of
+    ``checkpoint_interval``, and which chains the process had planned
+    before never shows.
     """
     state = program.boot()
     oob_policy = config.oob_policy
@@ -874,46 +1236,12 @@ def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
         # The vector backend shares the compilation: its reference run is
         # identical, and its per-lane fallbacks run compiled.
         compiled = compiled_for(state, oob_policy)
-    closures = compiled.base if compiled is not None else {}
     # Instruction i executes at step 2i + 1 only in a run that boots
     # between instructions.
     recordable = state.ir is None
     recording = Recording(state)
-    record = recording.recorder(state)
-    checkpoints: List[MachineState] = [state.clone()]
-    outputs: List[Tuple[int, int]] = []
-    outputs_before: List[int] = []
-    steps = 0
-    max_steps = config.max_steps
-    running = Status.RUNNING
-    regs = state.regs._regs
-    emit = outputs.append
-    rand = lambda: 0  # the reference semantics never consults rand
-    while steps < max_steps and state.status is running:
-        closure = None
-        if (closures and state.ir is None and max_steps - steps >= 2
-                and interval - steps % interval >= 2):
-            pcg = regs[PC_G][1]
-            if pcg == regs[PC_B][1]:
-                closure = closures.get(pcg)
-        if closure is not None:
-            record(pcg, steps + 1)
-            count = len(outputs)
-            outputs_before.append(count)
-            outputs_before.append(count)
-            closure(state, regs, emit, rand)
-            steps += 2
-        else:
-            fetch = state.ir is None
-            outputs_before.append(len(outputs))
-            result = _semantics_step(state, oob_policy)
-            if result.outputs:
-                outputs.extend(result.outputs)
-            steps += 1
-            if fetch and state.ir is not None:
-                record(regs[PC_G][1], steps)
-        if steps % interval == 0 and state.status is running:
-            checkpoints.append(state.clone())
+    outputs, output_steps, checkpoints, steps, log, shapes, taken = _walk(
+        state, compiled, interval, config.max_steps, oob_policy, recording)
     if state.status is Status.HALTED:
         outcome = Outcome.HALTED
     elif state.status is Status.FAULT_DETECTED:
@@ -922,8 +1250,8 @@ def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
         outcome = Outcome.RUNNING
     trace = Trace(outcome, outputs, steps)
     return ReferenceRun(
-        trace, outputs_before, checkpoints, interval, oob_policy, compiled,
-        recording.finish(steps, state.code)
+        trace, output_steps, checkpoints, interval, oob_policy, compiled,
+        recording.finish(steps, log, shapes, taken)
         if recordable and outcome is Outcome.HALTED else None)
 
 
@@ -1064,7 +1392,7 @@ def _run_scalar(
     (:func:`_run_rejoining`) and returns exactly what finishing it would
     have; without it every run goes to its end.
     """
-    produced = reference.outputs_before[step_index]
+    produced = reference.outputs_before(step_index)
     oob_policy = config.oob_policy
     error_port = config.error_port
     # All faulty states share ``base``'s register bank (zaps never add or
@@ -1119,14 +1447,14 @@ def _rejoin_check(reference: ReferenceRun) -> Callable[[MachineState, int],
     matter, until it halts.  Without a prunable recording (an unrecorded
     run, or one that executed something the walk does not model) the
     whole register bank is compared."""
-    checkpoints = reference.checkpoints
+    checkpoint_at = reference.checkpoint
     interval = reference.interval
     recording = reference.recording
     live_at = recording.live_at \
         if recording is not None and recording.prunable else None
 
     def rejoins(state: MachineState, index: int) -> bool:
-        checkpoint = checkpoints[index]
+        checkpoint = checkpoint_at(index)
         regs = state.regs._regs
         ref_regs = checkpoint.regs._regs
         if live_at is None:
@@ -1175,7 +1503,7 @@ def _run_rejoining(
             return Trace(trace.outcome, outputs, steps), 0
         if rejoins(state, index):
             at = index * interval
-            outputs += reference.trace.outputs[reference.outputs_before[at]:]
+            outputs += reference.trace.outputs[reference.outputs_before(at):]
             return (Trace(Outcome.HALTED, outputs, reference.num_steps - t),
                     reference.num_steps - at)
         gap *= 2
@@ -1237,7 +1565,7 @@ def _merge_step(
     instruments=None,
 ) -> None:
     """Fold one step's outcomes into the report (deterministic order)."""
-    produced = reference.outputs_before[step_index]
+    produced = reference.outputs_before(step_index)
     counts = report.counts
     latency_buckets = report.latency_buckets
     if instruments is None:
@@ -1385,10 +1713,7 @@ def _drive(
     with phase_timer("campaign.reference"):
         reference = _reference_run(program, config)
     if reference.trace.outcome is not Outcome.HALTED:
-        raise ValueError(
-            f"reference run did not halt ({reference.trace.outcome}); "
-            "campaigns need terminating programs"
-        )
+        raise ReferenceDidNotHalt(reference.trace)
     budget = reference.trace.steps + config.step_slack
     steps = _injection_steps(reference.num_steps, config)
     report = CampaignReport(reference=reference.trace)

@@ -156,7 +156,7 @@ def run_multifault_campaign(
                           backend=backend)
         relative = [(at - first_step, fault) for at, fault in schedule]
         trace = machine.run(max_steps=budget, faults=relative)
-        produced = reference.outputs[:run.outputs_before[first_step]]
+        produced = reference.outputs[:run.outputs_before(first_step)]
         merged = Trace(trace.outcome, produced + trace.outputs, trace.steps)
         result = classify(merged, reference)
         report.injections += 1

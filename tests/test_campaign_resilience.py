@@ -62,7 +62,7 @@ class TestJournalRoundTrip:
         # With a reference tail, MASKED tails collapse to the "=" sentinel
         # and re-expand to the identical tuples.
         ref_tail = tuple(
-            reference.trace.outputs[reference.outputs_before[1]:])
+            reference.trace.outputs[reference.outputs_before(1):])
         framed = [_outcome_to_json(o, ref_tail) for o in outcomes]
         assert any(entry[2] == "=" for entry in framed)
         assert [_outcome_from_json(entry, ref_tail)

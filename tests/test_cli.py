@@ -152,6 +152,7 @@ class TestCampaignValidation:
         ("--shards", "0"),
         ("--shards", "-2"),
         ("--shards", "four"),
+        ("--max-steps", "0"),
     ])
     def test_bad_values_exit_2(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -159,6 +160,18 @@ class TestCampaignValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "must be" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--shards", "2"]],
+                             ids=["local", "sharded"])
+    def test_non_halting_reference_exits_2(self, flags, capsys):
+        # dotproduct halts after a few hundred steps; 50 cuts it short.
+        assert main(["campaign", DOT_MWL, "--samples", "2",
+                     "--max-steps", "50"] + flags) == 2
+        captured = capsys.readouterr()
+        assert "--max-steps 50" in captured.err
+        assert not captured.out
+        assert main(["campaign", DOT_MWL, "--samples", "2",
+                     "--max-steps", "100000"] + flags) == 0
 
     def test_resume_requires_journal(self, capsys):
         assert main(["campaign", DOT_MWL, "--samples", "4",

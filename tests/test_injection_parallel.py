@@ -9,18 +9,21 @@ bit-identical to the serial engine's for the same seed.
 import pytest
 
 from repro.compiler import compile_source
-from repro.core import Machine
+from repro.core import Color, Machine
 from repro.core.machine import Outcome
 from repro.core.registers import PC_G
+from repro.core.semantics import step as semantics_step
+from repro.exec import clear_exec_caches, compiled_for
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.campaign import (
+    _UNFUSED_STEPS,
     ReferenceRun,
     _injection_steps,
     _reference_run,
     classify_tail,
 )
 from repro.workloads import ALL_KERNELS, compile_kernel
-from tests.helpers import countdown_loop_program, paper_store_program
+from tests.helpers import NUM_GPRS, countdown_loop_program, paper_store_program
 
 
 def _eager_snapshots(program, config):
@@ -97,10 +100,18 @@ class TestCheckpointReplay:
             reference.state_at(reference.num_steps)
 
     def test_outputs_before_tracks_reference_outputs(self):
-        reference = _reference_run(countdown_loop_program(3), CampaignConfig())
-        assert reference.outputs_before[0] == 0
-        assert reference.outputs_before[-1] <= len(reference.trace.outputs)
-        assert reference.outputs_before == sorted(reference.outputs_before)
+        program = countdown_loop_program(3)
+        reference = _reference_run(program, CampaignConfig())
+        state = program.boot()
+        counts = []
+        emitted = 0
+        while not state.is_terminal:
+            counts.append(emitted)
+            emitted += len(semantics_step(state).outputs)
+        assert emitted == len(reference.trace.outputs) > 0
+        assert [reference.outputs_before(step)
+                for step in range(reference.num_steps)] == counts
+        assert len(reference.output_steps) == emitted
 
 
 def _recorded(reference):
@@ -112,6 +123,125 @@ def _recorded(reference):
             if name != "views"}
 
 
+def _state(state):
+    return (dict(state.regs._regs), dict(state.memory),
+            list(state.queue.pairs()), state.ir, state.status)
+
+
+def _walked(reference):
+    """Everything a reference run holds, as comparable data: its trace,
+    output steps, checkpoint states and recording."""
+    trace = reference.trace
+    return (trace.outcome, trace.outputs, trace.steps,
+            list(reference.output_steps),
+            [_state(reference.checkpoint(index))
+             for index in range(len(reference.checkpoints))],
+            _recorded(reference))
+
+
+def _planned_walk(program, config):
+    """A walk in a process that has planned every chain of ``program``."""
+    clear_exec_caches()
+    executor = compiled_for(program.boot(), config.oob_policy)
+    for address in list(executor.fast):
+        executor.plan(address)
+    return _reference_run(program, config)
+
+
+def fused_walk_program(count: int = 4):
+    """A loop whose fused chains hold what the walk reads live: a green
+    load after a green store in one chain, an output-emitting plain
+    ``st`` interior next to a silent blue ``st`` tail, and an
+    output-emitting blue ``st`` tail; and two chains whose loads
+    overwrite their own address register, which the state after the
+    chain no longer holds (those chains run unfused).  Its chains span
+    4 to 14 steps, so at intervals 1, 7, 32 and 64 some cross a
+    checkpoint boundary.  Stores below 257 are silent."""
+    from repro.core import (
+        ArithRRI, Bz, Halt, Jmp, Load, Mov, PlainStore, Store, blue, green,
+    )
+    from repro.program import Program
+
+    G, B = Color.GREEN, Color.BLUE
+    LOOP, DONE = 3, 31
+    code = {
+        1: Mov("r1", green(count)),
+        2: Mov("r2", blue(count)),
+        # LOOP: push (256, n), then load it back from the queue.
+        3: Mov("r3", green(256)),
+        4: Mov("r4", blue(256)),
+        5: Store(G, "r3", "r1"),
+        6: Load(G, "r5", "r3"),
+        7: Load(B, "r6", "r4"),
+        # An emitting plain store, then the silent commit of (256, n).
+        8: Mov("r7", green(257)),
+        9: PlainStore("r7", "r1"),
+        10: Store(B, "r4", "r2"),
+        # Loads that overwrite their address: alone in a chain ...
+        11: Load(G, "r3", "r3"),
+        12: Load(B, "r4", "r4"),
+        # ... and after an in-chain store.
+        13: Mov("r3", green(258)),
+        14: Mov("r4", blue(258)),
+        15: Store(G, "r3", "r1"),
+        16: Load(G, "r3", "r3"),
+        17: Load(B, "r4", "r4"),
+        # The emitting commit of (258, n).
+        18: Mov("r3", green(258)),
+        19: Mov("r4", blue(258)),
+        20: Store(B, "r4", "r2"),
+        21: ArithRRI("sub", "r1", "r1", green(1)),
+        22: ArithRRI("sub", "r2", "r2", blue(1)),
+        23: Mov("r5", green(DONE)),
+        24: Mov("r6", blue(DONE)),
+        25: Bz(G, "r1", "r5"),
+        26: Bz(B, "r2", "r6"),
+        27: Mov("r7", green(LOOP)),
+        28: Mov("r8", blue(LOOP)),
+        29: Jmp(G, "r7"),
+        30: Jmp(B, "r8"),
+        DONE: Halt(),
+    }
+    return Program(code=code, entry=1, initial_memory={256: 0, 258: 0},
+                   num_gprs=NUM_GPRS, observable_min=257)
+
+
+class TestFusedWalk:
+    """The fused walk against the interpreter on a hand-built loop."""
+
+    @pytest.mark.parametrize("interval", [1, 7, 32, 64])
+    def test_fused_walk_equals_interpreter_walk(self, interval):
+        program = fused_walk_program()
+        config = CampaignConfig(checkpoint_interval=interval)
+        clear_exec_caches()
+        fused = _reference_run(program, config)
+        stepped = _reference_run(program, CampaignConfig(
+            backend="step", checkpoint_interval=interval))
+        assert fused.trace.outcome is Outcome.HALTED
+        assert {address for address, _ in fused.trace.outputs} \
+            == {257, 258}
+        # The loop has each shape the docstring promises ...
+        plans, _ = fused.compiled.views["reference-walk"]
+        assert {pc for pc, plan in plans.items()
+                if plan[0] == _UNFUSED_STEPS} == {11, 13}
+        assert any(plan[5] for plan in plans.values())
+        # ... and some chain crosses a checkpoint boundary.
+        assert any(type(entry) is tuple for entry in fused.checkpoints)
+        assert _walked(fused) == _walked(stepped)
+        assert _walked(_planned_walk(program, config)) == _walked(stepped)
+
+    @pytest.mark.parametrize("interval", [1, 7, 32, 64])
+    def test_state_at_equals_eager_snapshots(self, interval):
+        program = fused_walk_program()
+        config = CampaignConfig(checkpoint_interval=interval)
+        reference = _reference_run(program, config)
+        eager = _eager_snapshots(program, config)
+        assert reference.num_steps == len(eager)
+        assert [_state(reference.state_at(step))
+                for step in range(len(eager))] \
+            == [_state(state) for state in eager]
+
+
 class TestRecording:
     """The walk records the same run whichever engine executes it."""
 
@@ -121,9 +251,14 @@ class TestRecording:
         # Odd intervals split instructions across checkpoints, so the
         # interval-7 interpreter walk records after separate fetches while
         # the interval-32 compiled walk records ahead of whole closures.
+        # The compiled walk runs cold (planning each chain it reaches)
+        # and again with every chain planned before it starts.
         program = compile_kernel(kernel, mode).program
+        clear_exec_caches()
         compiled = _reference_run(
             program, CampaignConfig(backend="compiled"))
+        planned = _planned_walk(program, CampaignConfig(backend="compiled"))
+        assert _walked(planned) == _walked(compiled)
         if compiled.trace.outcome is not Outcome.HALTED:
             assert compiled.recording is None
             return  # no recording to compare under the default max_steps

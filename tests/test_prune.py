@@ -93,7 +93,7 @@ class TestClassificationGroundTruth:
         masked_claims = detected_claims = 0
         for step in range(reference.trace.steps):
             base = reference.state_at(step)
-            produced = reference.outputs_before[step]
+            produced = reference.outputs_before(step)
             full_tail = tuple(reference.trace.outputs[produced:])
             for site in fault_sites(base):
                 for value in representative_values(base, site, program,

@@ -392,7 +392,7 @@ class TestHandedOverLanes:
         step = 40
         # A lane retired at a later fetch, after the reference emitted.
         later = next(t for t in range(step + 1, reference.num_steps, 2)
-                     if outputs_before[t] > outputs_before[step]
+                     if outputs_before(t) > outputs_before(step)
                      and t % 8)
         fault = RegZap("r7", 777)  # r7 is rewritten before it is read
         assert _next_event(reference.recording, "r7", later)[1] != EV_READ

@@ -15,10 +15,13 @@ Three layers, tested bottom-up:
 """
 
 import json
+import os
+import random
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -27,7 +30,7 @@ from repro.injection.chaos import (
     fingerprint_digest,
     truncate_journal_tail,
 )
-from repro.core.framing import frame
+from repro.core.framing import frame, unframe
 from repro.service.scheduler import (
     FairScheduler,
     QueueFull,
@@ -719,6 +722,124 @@ class TestRestartRecovery:
         assert finished["result"]["fingerprint"] == \
             fingerprint_digest(reference)
         assert finished["result"]["resilience"]["resumed_steps"] > 0
+
+
+class TestJobJournalCutPoints:
+    """Restart from a service's ``jobs.journal`` cut or corrupted at
+    seeded byte offsets.  The restart's replay (:meth:`JobStore.open`,
+    which :class:`CampaignService` runs first) must not raise; every job
+    whose lines all precede the damage comes back with its status and
+    result; a job whose snapshot line was damaged is gone; and
+    ``corrupt_lines`` counts the damaged lines, plus every line after a
+    lost header and the events of a job whose snapshot was lost."""
+
+    TRIALS = 16
+
+    @pytest.fixture(scope="class")
+    def lifetime(self, tmp_path_factory):
+        """A real service lifetime, uncompacted: three jobs submitted
+        together (two done, one timed out), so their events interleave.
+        Returns the journal's bytes, each line's ``(job id or None,
+        event, start, end)`` (the byte span of its content, newline
+        excluded) and each job's final replayed snapshot."""
+        state_dir = str(tmp_path_factory.mktemp("lifetime"))
+        service = CampaignService(state_dir=state_dir)
+        ids = [service.submit({"kernel": "adpcm",
+                               "config": dict(SMALL, seed=seed)})
+               for seed in (5, 6)]
+        ids.append(service.submit({"kernel": "adpcm", "timeout": 0.001,
+                                   "config": SLOW}))
+        for job_id in ids:
+            service.wait(job_id, timeout=240)
+        service.close()
+        path = os.path.join(state_dir, JobStore.JOURNAL_NAME)
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        lines, start = [], 0
+        for line in pristine.splitlines(keepends=True):
+            payload = unframe(line.decode())
+            job_id = payload.get("id", (payload.get("job") or {}).get("id"))
+            lines.append((job_id, payload.get("event"), start,
+                          start + len(line.rstrip(b"\n"))))
+            start += len(line)
+        final = _replay(path).jobs
+        assert [final[job_id]["status"] for job_id in ids] \
+            == ["done", "done", "error"]
+        return pristine, lines, final
+
+    @staticmethod
+    def _expected(lines, present, damaged, garbage):
+        """``(kept, intact, corrupt)`` after damage: the jobs that come
+        back, those of them with no line damaged or cut off, and the
+        corrupt-line count.  ``present`` are the lines left in the file,
+        ``damaged`` those of them no longer intact, which read as
+        ``garbage`` corrupt lines."""
+        valid = [k for k in present if k not in damaged]
+        if 0 not in valid:  # no header: nothing after it is trusted
+            return set(), set(), garbage + len(valid)
+        kept = {lines[k][0] for k in valid if lines[k][1] == "job"}
+        orphans = sum(1 for k in valid
+                      if lines[k][0] is not None and lines[k][0] not in kept)
+        intact = {job_id for job_id in kept
+                  if all(k in valid for k, line in enumerate(lines)
+                         if line[0] == job_id)}
+        return kept, intact, garbage + orphans
+
+    def _restart_and_check(self, tmp_path, damaged_bytes, final,
+                           expected):
+        kept, intact, corrupt = expected
+        state_dir = tmp_path / "state"
+        state_dir.mkdir(exist_ok=True)
+        (state_dir / JobStore.JOURNAL_NAME).write_bytes(damaged_bytes)
+        store = JobStore(str(state_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # corrupt-line warnings
+            load = store.open()
+        store.close()
+        assert set(load.jobs) == kept
+        for job_id in intact:
+            assert load.jobs[job_id]["status"] == final[job_id]["status"]
+            assert load.jobs[job_id]["result"] == final[job_id]["result"]
+        assert load.corrupt_lines == corrupt
+        # The restart compacted the journal: the next one reads it clean.
+        again = JobStore(str(state_dir)).open()
+        assert set(again.jobs) == kept and again.corrupt_lines == 0
+
+    def test_truncated_at_seeded_offsets(self, tmp_path, lifetime):
+        pristine, lines, final = lifetime
+        rng = random.Random(20261021)
+        for offset in rng.sample(range(len(pristine)), self.TRIALS):
+            present = {k for k, (_, _, start, _) in enumerate(lines)
+                       if start < offset}
+            torn = {k for k in present if lines[k][3] > offset}
+            self._restart_and_check(
+                tmp_path, pristine[:offset], final,
+                self._expected(lines, present, torn, len(torn)))
+
+    def test_byte_flipped_at_seeded_offsets(self, tmp_path, lifetime):
+        pristine, lines, final = lifetime
+        rng = random.Random(20261022)
+        # The seeded offsets, then the newline ending the first job line.
+        offsets = rng.sample(range(len(pristine)), self.TRIALS)
+        for offset in offsets + [lines[1][3]]:
+            byte = pristine[offset]
+            while True:
+                # No flip may make a line break or only change a letter's
+                # case (the checksum's hex digits read either way).
+                mask = rng.randrange(1, 256)
+                if byte ^ mask not in b"\r\n" and not (
+                        mask == 0x20 and chr(byte).isalpha()):
+                    break
+            damaged = bytearray(pristine)
+            damaged[offset] ^= mask
+            # A line fails when the byte is in its content or its
+            # newline, or is the newline before it (the two lines join
+            # into one corrupt line).
+            hit = {k for k, (_, _, start, end) in enumerate(lines)
+                   if start - 1 <= offset <= end}
+            self._restart_and_check(
+                tmp_path, bytes(damaged), final,
+                self._expected(lines, set(range(len(lines))), hit, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ class TestForcedDivergence:
         for step_index in range(reference.num_steps):
             base = reference.state_at(step_index)
             faults = self._forced_faults(base)
-            produced = reference.outputs_before[step_index]
+            produced = reference.outputs_before(step_index)
             batch = run_step_batch(program, config, reference, budget,
                                    step_index, base, faults)
             assert batch is not None, \
