@@ -977,9 +977,10 @@ def _walk(state: MachineState, compiled: Optional[CompiledExec],
     per-instruction closures when it is first used
     (:meth:`ReferenceRun.checkpoint`).  A chain with a read the state
     after it no longer holds, a chain past the step cap, and everything
-    the closures cannot drive (a pending ``ir``, disagreeing program
-    counters) run one instruction at a time, each with an entry of its
-    own and its reads taken between fetch and execute.
+    the chains cannot drive (a pending ``ir``, disagreeing program
+    counters) run on the interpreter, one step at a time: each
+    instruction gets an entry of its own, its reads are taken between
+    fetch and execute, and every checkpoint is exact.
     """
     regs = state.regs._regs
     code = state.code
@@ -1153,26 +1154,6 @@ def _walk(state: MachineState, compiled: Optional[CompiledExec],
             chain = chain_get(pcg) if pcg == regs[PC_B][1] else None
             if chain is not None and chain[0] == _UNFUSED_STEPS:
                 unfused = len(chain[1])
-        if (base and state.ir is None and boundary - steps >= 2
-                and max_steps - steps >= 2):
-            pcg = regs[PC_G][1]
-            closure = base.get(pcg) if pcg == regs[PC_B][1] else None
-            if closure is not None:
-                t = steps + 1
-                note(pcg, t)
-                count = len(outputs)
-                closure(state, regs, emit, rand)
-                if len(outputs) > count:
-                    output_step(t)
-                steps += 2
-                if unfused:
-                    unfused -= 1
-                if steps == boundary:
-                    if state.status is running:
-                        checkpoints.append(state.clone())
-                    boundary += interval
-                    stop = min(boundary, max_steps)
-                continue
         fetch = state.ir is None
         result = _semantics_step(state, oob_policy)
         if result.outputs:
